@@ -5,14 +5,15 @@ building from aligned seqlets."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DataError, dinucleotide_shuffle, one_hot
+from .data import DataError, EncodedDataset, dinucleotide_shuffle, one_hot
 from .model import TcnModel
 
 logger = logging.getLogger(__name__)
@@ -120,6 +121,86 @@ def integrated_gradients(model: TcnModel, x, label_index: int,
         label=label_name if label_name is not None else str(label_index),
         scores=scores, baseline_count=len(baselines), steps=steps,
         completeness_gap=gap, sequence=sequence, sample_id=sample_id)
+
+
+class IgJob(NamedTuple):
+    """One Integrated Gradients map to compute, its baselines already drawn."""
+
+    sequence: str
+    label_index: int
+    label_name: str
+    baselines: list[np.ndarray]
+    sample_id: str = ""
+
+
+def run_ig_jobs(model: TcnModel, jobs: Sequence[IgJob], steps: int,
+                threads: int = 1) -> list[AttributionMap]:
+    """Integrated Gradients for each job, in job order, on ``threads``
+    worker threads when more than one.
+
+    Every random draw is in the jobs already, so the maps depend only on
+    the jobs, never on ``threads`` or on scheduling.
+    """
+    def run(job: IgJob) -> AttributionMap:
+        return integrated_gradients(
+            model, one_hot(job.sequence), job.label_index, job.baselines,
+            steps=steps, label_name=job.label_name, sequence=job.sequence,
+            sample_id=job.sample_id)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, jobs))
+    return [run(job) for job in jobs]
+
+
+def attribute_dataset(model: TcnModel, ds: EncodedDataset,
+                      label_indices: Sequence[int], rng: np.random.Generator,
+                      steps: int = 50, baselines: int = 10,
+                      max_samples: int = 10,
+                      threads: int = 1) -> list[AttributionMap]:
+    """One map per (sample, label) over the first ``max_samples``
+    sequences; each sequence's shuffled baselines are drawn in sample
+    order and shared by its labels."""
+    jobs = []
+    for i in range(min(max_samples, len(ds))):
+        seq = ds.sequences[i]
+        drawn = make_shuffled_baselines(seq, baselines, rng)
+        jobs += [IgJob(seq, t, ds.label_names[t], drawn, f"{ds.origins[i]}#{i}")
+                 for t in label_indices]
+    return run_ig_jobs(model, jobs, steps, threads)
+
+
+def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
+                         label_index: int, rng: np.random.Generator,
+                         steps: int = 25, baselines: int = 5,
+                         max_seqs: int = 40, null_count: int = 10,
+                         window: int = 15, threads: int = 1) -> list[Pwm]:
+    """IG tracks for sequences positive for one label, a shuffled-sequence
+    null, seqlet extraction, then clustering into PWMs.
+
+    Draws from ``rng`` in a fixed order before any IG runs: the null
+    shuffles, then the real sequences' baselines, then the nulls'.
+    """
+    label = ds.label_names[label_index]
+    positives = np.flatnonzero(ds.labels[:, label_index] == 1)[:max_seqs]
+    if positives.size == 0:
+        raise DataError(f"no positive sequences for label {label!r}")
+
+    real_seqs = [ds.sequences[i] for i in positives]
+    null_seqs = [dinucleotide_shuffle(ds.sequences[i], rng)
+                 for i in positives[:null_count]]
+    jobs = [IgJob(seq, label_index, label,
+                  make_shuffled_baselines(seq, baselines, rng))
+            for seq in real_seqs + null_seqs]
+    tracks = [actual_base_scores(m, one_hot(m.sequence))
+              for m in run_ig_jobs(model, jobs, steps, threads)]
+
+    seqlets = extract_seqlets(tracks[:len(real_seqs)], window,
+                              tracks[len(real_seqs):], label=label)
+    pwms = cluster_and_build_pwm(seqlets, [one_hot(s) for s in real_seqs])
+    for pwm in pwms:
+        pwm.name = f"{label}.{pwm.name}"
+    return pwms
 
 
 def actual_base_scores(attribution: AttributionMap, onehot: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ linking them is freed as soon as ``backward`` has replayed it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -16,19 +17,19 @@ import numpy as np
 
 Array = np.ndarray
 
-_grad_enabled = True
+# a context variable, so one thread's no_grad block leaves the graphs that
+# other threads are recording untouched
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 @dataclass
@@ -123,7 +124,7 @@ def _as_tensor(value) -> Tensor:
 
 def _record(data: Array, op: str, parents: tuple[Tensor, ...],
             backward_fn: Callable[[Array], tuple[Optional[Array], ...]]) -> Tensor:
-    requires = _grad_enabled and any(p.requires_grad for p in parents)
+    requires = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
         out.node = Node(op, parents, backward_fn)

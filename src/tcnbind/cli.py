@@ -1,7 +1,14 @@
 """Command-line pipeline: dataset construction, synthetic benchmarks,
 splitting, training, evaluation, attribution, and motif extraction.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
+Exit codes; every failure ends with a one-line message on stderr:
+  0  success;
+  1  usage error: an unknown or malformed flag, a flag value out of range,
+     or a --config/--set key or value that the configuration rejects;
+  2  data error: an input file that is missing, unreadable, not ASCII text
+     (checkpoints: not UTF-8) or malformed, inputs that disagree with each
+     other, or an output path that cannot be written;
+  3  numerical abort: the training loss became non-finite.
 """
 
 from __future__ import annotations
@@ -10,8 +17,7 @@ import argparse
 import hashlib
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -20,7 +26,7 @@ from . import attribution as attr
 from . import data as dat
 from . import metrics as met
 from . import training as trn
-from .model import ModelConfig, TcnModel, receptive_field
+from .model import ModelConfig, TcnModel, parse_field, receptive_field
 
 logger = logging.getLogger("tcnbind")
 
@@ -29,7 +35,6 @@ DEFAULT_MOTIFS = ("CACGTG", "TTTCGCGC", "TGACTCA", "GGGCGG",
 
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 _TRAIN_KEYS = {f.name for f in fields(trn.TrainConfig)}
-_FLOAT_KEYS = {"lr_max", "warmup_frac", "dropout"}
 _DERIVED_KEYS = {"input_length", "num_labels"}  # cross-checked, set by dataset
 
 
@@ -42,14 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _convert(key: str, text: str):
-    if key in ("monitor", "classifier_input"):
-        return text
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key == "cnn_kernel_size":
-        return None if text.lower() in ("", "none") else int(text)
-    return int(text)
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
@@ -64,13 +70,14 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
         key, value = (part.strip() for part in text.split("=", 1))
         if key not in known:
             raise UsageError(f"{origin}: unknown configuration key {key!r}")
+        owner = ModelConfig if key in _MODEL_KEYS else trn.TrainConfig
         try:
-            resolved[key] = _convert(key, value)
-        except ValueError:
-            raise UsageError(f"{origin}: bad value for {key}: {value!r}") from None
+            resolved[key] = parse_field(owner, key, value)
+        except ValueError as exc:
+            raise UsageError(f"{origin}: bad value: {exc}") from None
 
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
+        with dat.open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -103,23 +110,39 @@ def _split_configs(resolved: dict, ds: dat.EncodedDataset):
                 f"config {key}={model_kwargs[key]} conflicts with dataset value "
                 f"{derived}")
         model_kwargs[key] = derived
-    return ModelConfig(**model_kwargs), trn.TrainConfig(**train_kwargs)
+    try:
+        return ModelConfig(**model_kwargs), trn.TrainConfig(**train_kwargs)
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _split_spec(spec: str, flag: str, form: str) -> tuple[str, str]:
+    """NAME and VALUE of a ``flag`` argument of the form ``NAME=VALUE``."""
+    name, sep, value = spec.partition("=")
+    if not sep:
+        raise UsageError(f"{flag} expects {form}, got {spec!r}")
+    return name, value
+
+
+def _probability(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{flag}: bad probability {text!r}") from None
+
+
 def cmd_build_dataset(args) -> int:
     peak_sets: dict[str, list[dat.GenomicInterval]] = {}
     for spec in args.peaks:
-        if "=" not in spec:
-            raise UsageError(f"--peaks expects NAME=path, got {spec!r}")
-        name, path = spec.split("=", 1)
+        name, path = _split_spec(spec, "--peaks", "NAME=path")
         if name in peak_sets:
             raise UsageError(f"duplicate peak label {name!r}")
-        with open(path, "r", encoding="utf-8") as fh:
+        with dat.open_text(path, "utf-8") as fh:
             peak_sets[name] = dat.parse_bed(fh, tf=name)
-    with open(args.genome, "r", encoding="utf-8") as fh:
+    with dat.open_text(args.genome, "utf-8") as fh:
         genome = dat.parse_fasta(fh)
     ds = dat.build_dataset(peak_sets, genome, window=args.window)
     resolved = {"window": args.window, "peaks": ",".join(sorted(peak_sets))}
@@ -133,9 +156,7 @@ def cmd_synth(args) -> int:
     if args.motif:
         motifs = {}
         for spec in args.motif:
-            if "=" not in spec:
-                raise UsageError(f"--motif expects NAME=CONSENSUS, got {spec!r}")
-            name, consensus = spec.split("=", 1)
+            name, consensus = _split_spec(spec, "--motif", "NAME=CONSENSUS")
             motifs[name] = consensus.upper()
     else:
         if args.labels > len(DEFAULT_MOTIFS):
@@ -147,15 +168,17 @@ def cmd_synth(args) -> int:
     if args.marginal:
         marginals = {}
         for spec in args.marginal:
-            name, value = spec.split("=", 1)
-            marginals[name] = float(value)
+            name, value = _split_spec(spec, "--marginal", "NAME=P")
+            marginals[name] = _probability(value, "--marginal")
         for name in motifs:
             marginals.setdefault(name, 0.5)
     co_occurrence = {}
     for spec in args.co_occur or []:
-        pair, value = spec.split("=", 1)
-        a, b = pair.split(",")
-        co_occurrence[(a, b)] = float(value)
+        pair, value = _split_spec(spec, "--co-occur", "A,B=P")
+        names = tuple(pair.split(","))
+        if len(names) != 2:
+            raise UsageError(f"--co-occur expects A,B=P, got {spec!r}")
+        co_occurrence[names] = _probability(value, "--co-occur")
 
     spec = dat.SyntheticSpec(num_samples=args.n, length=args.length,
                              label_motifs=motifs, marginals=marginals,
@@ -199,7 +222,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
     model_cfg, train_cfg = _split_configs(resolved, train_ds)
-    resolved = {**model_cfg.to_dict(), **train_cfg.to_dict()}
+    resolved = {**asdict(model_cfg), **asdict(train_cfg)}
     header = _provenance(resolved, train_cfg.seed)
 
     model = TcnModel.initialize(model_cfg, np.random.default_rng(train_cfg.seed))
@@ -257,73 +280,14 @@ def cmd_attribute(args) -> int:
     model = trn.build_model(ckpt)
     targets = _attribution_targets(args, ds.label_names)
     count = min(args.max_samples, len(ds))
-
-    jobs = []
-    rng = np.random.default_rng(args.seed)
-    for i in range(count):
-        seq = ds.sequences[i]
-        baselines = attr.make_shuffled_baselines(seq, args.baselines, rng)
-        for t in targets:
-            jobs.append((i, seq, t, baselines))
-
-    def run(job):
-        i, seq, t, baselines = job
-        return attr.integrated_gradients(
-            model, dat.one_hot(seq), t, baselines, steps=args.steps,
-            label_name=ds.label_names[t], sequence=seq,
-            sample_id=f"{ds.origins[i]}#{i}")
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            maps = list(pool.map(run, jobs))
-    else:
-        maps = [run(job) for job in jobs]
-
+    maps = attr.attribute_dataset(
+        model, ds, targets, np.random.default_rng(args.seed), steps=args.steps,
+        baselines=args.baselines, max_samples=count, threads=args.threads)
     resolved = {"steps": args.steps, "baselines": args.baselines,
                 "samples": count}
     attr.write_attribution_maps(maps, args.out, _provenance(resolved, args.seed))
     logger.info("wrote %d attribution maps to %s", len(maps), args.out)
     return 0
-
-
-def extract_label_motifs(model: TcnModel, ds: dat.EncodedDataset,
-                         label_index: int, rng: np.random.Generator,
-                         steps: int = 25, baselines: int = 5,
-                         max_seqs: int = 40, null_count: int = 10,
-                         window: int = 15, threads: int = 1) -> list[attr.Pwm]:
-    """IG tracks for sequences positive for one label, a shuffled-sequence
-    null, seqlet extraction, then clustering into PWMs."""
-    label = ds.label_names[label_index]
-    positives = np.flatnonzero(ds.labels[:, label_index] == 1)[:max_seqs]
-    if positives.size == 0:
-        raise dat.DataError(f"no positive sequences for label {label!r}")
-
-    def attribute(seq: str) -> attr.AttributionMap:
-        bl = attr.make_shuffled_baselines(seq, baselines, rng)
-        return attr.integrated_gradients(model, dat.one_hot(seq), label_index,
-                                         bl, steps=steps, label_name=label)
-
-    real_seqs = [ds.sequences[i] for i in positives]
-    null_seqs = [dinuc for i in positives[:null_count]
-                 for dinuc in [dat.dinucleotide_shuffle(ds.sequences[i], rng)]]
-
-    def track_for(seq: str) -> np.ndarray:
-        return attr.actual_base_scores(attribute(seq), dat.one_hot(seq))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tracks = list(pool.map(track_for, real_seqs))
-            null_tracks = list(pool.map(track_for, null_seqs))
-    else:
-        tracks = [track_for(s) for s in real_seqs]
-        null_tracks = [track_for(s) for s in null_seqs]
-
-    seqlets = attr.extract_seqlets(tracks, window, null_tracks, label=label)
-    onehots = [dat.one_hot(s) for s in real_seqs]
-    pwms = attr.cluster_and_build_pwm(seqlets, onehots)
-    for pwm in pwms:
-        pwm.name = f"{label}.{pwm.name}"
-    return pwms
 
 
 def cmd_motifs(args) -> int:
@@ -336,7 +300,7 @@ def cmd_motifs(args) -> int:
     rng = np.random.default_rng(args.seed)
     pwms: list[attr.Pwm] = []
     for t in targets:
-        pwms.extend(extract_label_motifs(
+        pwms.extend(attr.extract_label_motifs(
             model, ds, t, rng, steps=args.steps, baselines=args.baselines,
             max_seqs=args.max_seqs, null_count=args.null_count,
             window=args.window, threads=args.threads))
@@ -364,9 +328,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("synth", help="generate a planted-motif dataset")
-    p.add_argument("--labels", type=int, default=4)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--labels", type=_positive_int, default=4)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--length", type=_positive_int, required=True)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--motif", action="append", metavar="NAME=CONSENSUS")
@@ -392,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a configuration key")
     p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="optional per-epoch history file")
     p.set_defaults(func=cmd_train)
@@ -408,8 +372,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--label", help="label name, or 'all'")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--baselines", type=int, default=10)
+    p.add_argument("--steps", type=_positive_int, default=50)
+    p.add_argument("--baselines", type=_positive_int, default=10)
     p.add_argument("--max-samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
@@ -420,11 +384,11 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--label", help="label name, or 'all'")
-    p.add_argument("--window", type=int, default=15)
-    p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--baselines", type=int, default=5)
-    p.add_argument("--max-seqs", type=int, default=40)
-    p.add_argument("--null-count", type=int, default=10)
+    p.add_argument("--window", type=_positive_int, default=15)
+    p.add_argument("--steps", type=_positive_int, default=25)
+    p.add_argument("--baselines", type=_positive_int, default=5)
+    p.add_argument("--max-seqs", type=_positive_int, default=40)
+    p.add_argument("--null-count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -447,7 +411,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except dat.DataError as exc:
+    except (dat.DataError, OSError, UnicodeError) as exc:
         logger.error("%s", exc)
         return 2
     except trn.TrainingDiverged as exc:

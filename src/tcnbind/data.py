@@ -6,6 +6,7 @@ Coordinates are 0-based half-open throughout. Sequences use the alphabet
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -61,6 +62,17 @@ class LabeledRegion:
     @property
     def origin(self) -> str:
         return f"{self.chrom}:{self.start}-{self.end}"
+
+
+@contextlib.contextmanager
+def open_text(path, encoding: str = "ascii"):
+    """Open a text file for reading; bytes that do not decode raise a
+    DataError naming the file."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {encoding} text ({exc.reason})") from None
 
 
 def _lines(stream) -> Iterable[str]:
@@ -296,6 +308,15 @@ class EncodedDataset:
     origins: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        # the dataset TSV and checkpoints join names with ",", attribution
+        # map headers split on whitespace, and every text format is ASCII
+        for name in self.label_names:
+            if (not name or not name.isascii() or "," in name
+                    or any(ch.isspace() for ch in name)):
+                raise DataError(f"label name {name!r} must be non-empty ASCII "
+                                f"without ',' or whitespace")
+        if len(set(self.label_names)) != len(self.label_names):
+            raise DataError(f"duplicate label names in {self.label_names}")
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         n, k = len(self.sequences), len(self.label_names)
         if self.labels.shape != (n, k):
@@ -498,7 +519,7 @@ def save_dataset(ds: EncodedDataset, path, header_lines: Iterable[str] = ()):
 def load_dataset(path) -> EncodedDataset:
     label_names: Optional[list[str]] = None
     sequences, rows, origins = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

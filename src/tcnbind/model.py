@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -56,8 +56,32 @@ class ModelConfig:
     def effective_cnn_kernel_size(self) -> int:
         return self.kernel_size if self.cnn_kernel_size is None else self.cnn_kernel_size
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+# Config text codec. A config dataclass's field annotations are the only
+# statement of how each value is typed in the key=value text of run
+# configurations and checkpoints.
+
+def parse_field(config_type: type, name: str, text: str):
+    """The value of field ``name`` of the dataclass ``config_type``, read
+    from ``text`` by the field's declared type.
+
+    For an ``Optional[T]`` field, "" or "none" (any case) means unset.
+    Raises ValueError when the text is not a value of that type.
+    """
+    kind = get_type_hints(config_type)[name]
+    if type(None) in get_args(kind):
+        if text.strip().lower() in ("", "none"):
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} expects {kind.__name__}, got {text!r}") from None
+
+
+def format_field(value) -> str:
+    """The text of one config value, read back by ``parse_field``."""
+    return "" if value is None else str(value)
 
 
 @dataclass
@@ -214,8 +238,60 @@ def tcn_block(x: Tensor, p: TcnBlockParams, training: bool = False,
     return ad.relu(ad.add(h, skip))
 
 
-def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                    fan_in: int, fan_out: int) -> np.ndarray:
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the config builds, in registry order.
+
+    Conv weights are [out_channels, in_channels, kernel_size], linear
+    weights [in_dim, out_dim], and every layer has a bias [outputs]. A
+    block gets a 1x1 projection only where its channel count changes.
+    """
+    layers: list[tuple[str, tuple[int, ...], int]] = []  # name, weight, outputs
+    channels = config.alphabet_size
+    for i in range(config.cnn_layers):
+        layers.append((f"cnn.{i}", (config.cnn_kernels, channels,
+                                    config.effective_cnn_kernel_size),
+                       config.cnn_kernels))
+        channels = config.cnn_kernels
+    width, k = config.tcn_channels, config.kernel_size
+    for b in range(config.tcn_blocks):
+        layers.append((f"tcn.{b}.conv1", (width, channels, k), width))
+        layers.append((f"tcn.{b}.conv2", (width, width, k), width))
+        if channels != width:
+            layers.append((f"tcn.{b}.projection", (width, channels, 1), width))
+        channels = width
+    layers.append(("mlp.hidden", (channels, config.mlp_hidden), config.mlp_hidden))
+    layers.append(("mlp.out", (config.mlp_hidden, config.num_labels),
+                   config.num_labels))
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, weight, outputs in layers:
+        shapes[f"{name}.weight"] = weight
+        shapes[f"{name}.bias"] = (outputs,)
+    return shapes
+
+
+def _check_parameters(config: ModelConfig, params: dict) -> None:
+    """Raise ValueError unless ``params`` (tensors or arrays) carries exactly
+    the names and shapes of ``parameter_shapes(config)``."""
+    expected = parameter_shapes(config)
+    for name in expected:
+        if name not in params:
+            raise ValueError(f"missing parameter {name!r}")
+    for name, value in params.items():
+        if name not in expected:
+            raise ValueError(f"unexpected parameter {name!r}")
+        if tuple(value.shape) != expected[name]:
+            raise ValueError(
+                f"parameter {name!r} has shape {tuple(value.shape)}, the "
+                f"config expects {expected[name]}")
+
+
+def _glorot_uniform(rng: np.random.Generator,
+                    shape: tuple[int, ...]) -> np.ndarray:
+    if len(shape) == 3:  # conv [out, in, k]
+        out_ch, in_ch, k = shape
+        fan_in, fan_out = in_ch * k, out_ch * k
+    else:  # linear [in, out]
+        fan_in, fan_out = shape
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
@@ -223,33 +299,12 @@ def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Named parameter registry: uniform(-a, a) weights with a = sqrt(6/(fan_in+fan_out)), zero biases."""
     params: dict[str, Tensor] = {}
-
-    def conv_entry(name: str, out_ch: int, in_ch: int, k: int):
-        w = _glorot_uniform(rng, (out_ch, in_ch, k), in_ch * k, out_ch * k)
-        params[f"{name}.weight"] = Tensor(w, requires_grad=True)
-        params[f"{name}.bias"] = Tensor(np.zeros(out_ch, dtype=np.float32),
-                                        requires_grad=True)
-
-    def linear_entry(name: str, in_dim: int, out_dim: int):
-        w = _glorot_uniform(rng, (in_dim, out_dim), in_dim, out_dim)
-        params[f"{name}.weight"] = Tensor(w, requires_grad=True)
-        params[f"{name}.bias"] = Tensor(np.zeros(out_dim, dtype=np.float32),
-                                        requires_grad=True)
-
-    channels = config.alphabet_size
-    kc = config.effective_cnn_kernel_size
-    for i in range(config.cnn_layers):
-        conv_entry(f"cnn.{i}", config.cnn_kernels, channels, kc)
-        channels = config.cnn_kernels
-    for b in range(config.tcn_blocks):
-        conv_entry(f"tcn.{b}.conv1", config.tcn_channels, channels, config.kernel_size)
-        conv_entry(f"tcn.{b}.conv2", config.tcn_channels, config.tcn_channels,
-                   config.kernel_size)
-        if channels != config.tcn_channels:
-            conv_entry(f"tcn.{b}.projection", config.tcn_channels, channels, 1)
-        channels = config.tcn_channels
-    linear_entry("mlp.hidden", channels, config.mlp_hidden)
-    linear_entry("mlp.out", config.mlp_hidden, config.num_labels)
+    for name, shape in parameter_shapes(config).items():
+        if name.endswith(".bias"):
+            value = np.zeros(shape, dtype=np.float32)
+        else:
+            value = _glorot_uniform(rng, shape)
+        params[name] = Tensor(value, requires_grad=True)
     return params
 
 
@@ -257,6 +312,7 @@ class TcnModel:
     """Architecture configuration plus its named parameter tensors."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+        _check_parameters(config, params)
         self.config = config
         self.params = params
         self._cnn: list[Conv1dParams] = []
@@ -337,11 +393,6 @@ class TcnModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
-        if set(arrays) != set(self.params):
-            missing = set(self.params) ^ set(arrays)
-            raise ValueError(f"parameter names do not match: {sorted(missing)}")
+        _check_parameters(self.config, arrays)
         for name, value in arrays.items():
-            current = self.params[name]
-            if value.shape != current.shape:
-                raise ValueError(f"{name}: shape {value.shape} != {current.shape}")
-            current.data = np.asarray(value, dtype=np.float32).copy()
+            self.params[name].data = np.asarray(value, dtype=np.float32).copy()

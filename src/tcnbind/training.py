@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import DataError, EncodedDataset
 from .metrics import average_precision
-from .model import ModelConfig, TcnModel
+from .model import ModelConfig, TcnModel, format_field, parse_field
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,8 @@ class TrainConfig:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.monitor != "micro_ap":
+            raise ValueError(f"monitor must be 'micro_ap', got {self.monitor!r}")
 
 
 class AdamState:
@@ -235,12 +234,14 @@ def ensure_labels_match(ckpt: ModelCheckpoint, ds: EncodedDataset) -> None:
 
 
 def build_model(ckpt: ModelCheckpoint) -> TcnModel:
-    params = {name: Tensor(arr.copy(), requires_grad=True)
-              for name, arr in ckpt.params.items()}
+    """A frozen model over copies of the checkpoint's tensors, which must
+    carry exactly the names and shapes its config builds. The tensors
+    record no gradient: scoring and attribution differentiate inputs only."""
+    params = {name: Tensor(arr.copy()) for name, arr in ckpt.params.items()}
     try:
         return TcnModel(ckpt.config, params)
-    except KeyError as exc:
-        raise DataError(f"checkpoint is missing parameter {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"checkpoint does not fit its config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +256,8 @@ def build_model(ckpt: ModelCheckpoint) -> TcnModel:
 
 def save_checkpoint(ckpt: ModelCheckpoint, path,
                     extra: Optional[dict[str, str]] = None) -> None:
-    lines = []
-    for f in fields(ModelConfig):
-        value = getattr(ckpt.config, f.name)
-        lines.append(f"{f.name}={'' if value is None else value}")
+    lines = [f"{name}={format_field(value)}"
+             for name, value in asdict(ckpt.config).items()]
     lines.append("label_names=" + ",".join(ckpt.label_names))
     for key, value in {**ckpt.metadata, **(extra or {})}.items():
         lines.append(f"{key}={value}")
@@ -281,6 +280,13 @@ def save_checkpoint(ckpt: ModelCheckpoint, path,
         fh.write(bytes(buf))
 
 
+def _utf8(chunk: memoryview, path) -> str:
+    try:
+        return bytes(chunk).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: checkpoint text is not UTF-8 ({exc.reason})") from None
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -301,7 +307,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     config_len = struct.unpack("<I", take(4, "config length"))[0]
-    block = bytes(take(config_len, "config block")).decode("utf-8")
+    block = _utf8(take(config_len, "config block"), path)
 
     pairs: dict[str, str] = {}
     for line in block.splitlines():
@@ -312,24 +318,19 @@ def load_checkpoint(path) -> ModelCheckpoint:
         key, value = line.split("=", 1)
         pairs[key] = value
 
-    config_fields = {f.name: f for f in fields(ModelConfig)}
-    kwargs = {}
-    for name in config_fields:
-        if name not in pairs:
-            raise DataError(f"checkpoint config missing {name!r}")
-        text = pairs.pop(name)
-        if name == "dropout":
-            kwargs[name] = float(text)
-        elif name == "cnn_kernel_size":
-            kwargs[name] = None if text == "" else int(text)
-        elif name == "classifier_input":
-            kwargs[name] = text
-        else:
-            kwargs[name] = int(text)
+    texts = {}
+    for f in fields(ModelConfig):
+        if f.name not in pairs:
+            raise DataError(f"checkpoint config missing {f.name!r}")
+        texts[f.name] = pairs.pop(f.name)
     if "label_names" not in pairs:
         raise DataError("checkpoint config missing label names")
     label_names = [s for s in pairs.pop("label_names").split(",") if s]
-    config = ModelConfig(**kwargs)
+    try:
+        config = ModelConfig(**{name: parse_field(ModelConfig, name, text)
+                                for name, text in texts.items()})
+    except ValueError as exc:
+        raise DataError(f"{path}: bad checkpoint config: {exc}") from None
     if len(label_names) != config.num_labels:
         raise DataError("label names do not match num_labels")
 
@@ -337,7 +338,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = struct.unpack("<H", take(2, "name length"))[0]
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        name = _utf8(take(name_len, "name"), path)
         ndim = struct.unpack("<B", take(1, "ndim"))[0]
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
         size = int(np.prod(dims)) if ndim else 1

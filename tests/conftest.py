@@ -2,10 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
 from tcnbind.model import ModelConfig, TcnModel
+from tcnbind.training import TrainConfig
 
 
 def naive_causal_conv(x, w, b, dilation):
@@ -34,6 +36,27 @@ def tiny_config(**overrides):
                 dropout=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+# valid values of every config field, for the codec round trips
+model_configs = st.builds(
+    ModelConfig,
+    input_length=st.integers(1, 5000), num_labels=st.integers(1, 20),
+    alphabet_size=st.integers(1, 8), cnn_layers=st.integers(0, 4),
+    cnn_kernels=st.integers(1, 64), tcn_blocks=st.integers(0, 8),
+    tcn_channels=st.integers(1, 64), kernel_size=st.integers(1, 64),
+    cnn_kernel_size=st.none() | st.integers(1, 64),
+    mlp_hidden=st.integers(1, 256),
+    dropout=st.floats(0.0, 1.0, exclude_max=True),
+    classifier_input=st.sampled_from(["last", "mean"]))
+
+train_configs = st.builds(
+    TrainConfig,
+    batch_size=st.integers(1, 1024), epochs=st.integers(1, 1000),
+    lr_max=st.floats(1e-12, 10.0),
+    warmup_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    patience=st.integers(1, 100), seed=st.integers(0, 2**63),
+    monitor=st.just("micro_ap"))
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
                                  write_pwms)
 from tcnbind.data import one_hot
 from tcnbind.model import TcnModel
+from tcnbind.training import ModelCheckpoint, build_model
 
 
 class TestIntegratedGradients:
@@ -25,6 +26,16 @@ class TestIntegratedGradients:
         self.probe = LinearProbe(self.w)
         self.x = one_hot("ACGTACGTACGT").astype(np.float64)
         self.baseline = one_hot("TGCATGCATGCA").astype(np.float64)
+
+    def test_loaded_model_parameters_get_no_grad(self):
+        trained = TcnModel.initialize(tiny_config(), np.random.default_rng(4))
+        model = build_model(ModelCheckpoint(trained.config, ["A", "B", "C"],
+                                            trained.parameter_arrays()))
+        x = one_hot("ACGT" * 8)
+        baselines = make_shuffled_baselines("ACGT" * 8, 2,
+                                            np.random.default_rng(5))
+        integrated_gradients(model, x, 1, baselines, steps=4)
+        assert all(p.grad is None for p in model.params.values())
 
     def test_linear_model_closed_form(self):
         out = integrated_gradients(self.probe, self.x, 0, [self.baseline], steps=7)

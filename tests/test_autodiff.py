@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,28 @@ class TestBackward:
         with ad.no_grad():
             y = ad.mul(x, x)
         assert y.node is None and not y.requires_grad
+
+    def test_no_grad_in_another_thread_leaves_recording_on(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with ad.no_grad():
+                entered.set()
+                release.wait(timeout=30)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert entered.wait(timeout=30)
+            x = Tensor([2.0], requires_grad=True)
+            y = ad.mul(x, x)
+        finally:
+            release.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert y.requires_grad and y.node is not None
+        ad.backward(ad.reduce_sum(y))
+        np.testing.assert_allclose(x.grad, [4.0])
 
 
 class TestGradientCorrectness:

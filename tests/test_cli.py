@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import tcnbind
 from tcnbind import cli
-from tcnbind.data import load_dataset
-from tcnbind.training import load_checkpoint
+from tcnbind.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from tcnbind.model import TcnModel, format_field
+from tcnbind.training import ModelCheckpoint, load_checkpoint, save_checkpoint
+
+from conftest import model_configs, tiny_config, train_configs
 
 
 def run(*argv):
@@ -171,3 +182,145 @@ class TestExitCodes:
     def test_conflicting_derived_key_is_data_error(self, tmp_path, synth_file):
         assert run("train", "--dataset", synth_file, "--set", "num_labels=7",
                    "--out", tmp_path / "x.ckpt") == 2
+
+
+# ---------------------------------------------------------------------------
+# every bad input ends with its documented exit code and one stderr line
+
+SRC = Path(tcnbind.__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A good dataset and checkpoint, plus one broken file of each kind."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    spec = SyntheticSpec(num_samples=12, length=32,
+                         label_motifs={"TF0": "CACGTG", "TF1": "TGACTCA"})
+    save_dataset(generate_synthetic(spec, np.random.default_rng(0)),
+                 root / "ds.tsv")
+    config = tiny_config(num_labels=2)
+    model = TcnModel.initialize(config, np.random.default_rng(1))
+    ckpt = ModelCheckpoint(config, ["TF0", "TF1"], model.parameter_arrays())
+    save_checkpoint(ckpt, root / "m.ckpt")
+    blob = (root / "m.ckpt").read_bytes()
+    (root / "kernel_x.ckpt").write_bytes(
+        blob.replace(b"\nkernel_size=3\n", b"\nkernel_size=x\n", 1))
+    (root / "non_utf8.ckpt").write_bytes(
+        blob.replace(b"label_names=", b"label_name\xff=", 1))
+    ckpt.params["tcn.0.conv1.weight"] = np.zeros((8, 8, 5), dtype=np.float32)
+    save_checkpoint(ckpt, root / "wide.ckpt")
+    (root / "non_ascii.tsv").write_bytes(
+        (root / "ds.tsv").read_bytes() + "# caf\u00e9\n".encode())
+    (root / "non_ascii.cfg").write_bytes("dropout = 0.0  # \u00e9\n".encode())
+    return root
+
+
+EXIT_CASES = {
+    "marginal_without_value": (1, ["synth", "--n", "4", "--length", "10",
+                                   "--marginal", "TF0", "--out", "{out}"]),
+    "co_occur_without_pair": (1, ["synth", "--n", "4", "--length", "10",
+                                  "--co-occur", "TF0=0.5", "--out", "{out}"]),
+    "zero_kernel_size": (1, ["train", "--dataset", "{root}/ds.tsv",
+                             "--set", "kernel_size=0", "--out", "{out}"]),
+    "unknown_monitor": (1, ["train", "--dataset", "{root}/ds.tsv",
+                            "--set", "monitor=auc", "--out", "{out}"]),
+    "zero_ig_steps": (1, ["attribute", "--dataset", "{root}/ds.tsv",
+                          "--model", "{root}/m.ckpt", "--steps", "0",
+                          "--out", "{out}"]),
+    "zero_seqlet_window": (1, ["motifs", "--dataset", "{root}/ds.tsv",
+                               "--model", "{root}/m.ckpt", "--window", "0",
+                               "--out", "{out}"]),
+    "missing_dataset": (2, ["evaluate", "--dataset", "{root}/absent.tsv",
+                            "--model", "{root}/m.ckpt", "--out", "{out}"]),
+    "missing_model": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                          "--model", "{root}/absent.ckpt", "--out", "{out}"]),
+    "missing_config": (2, ["train", "--dataset", "{root}/ds.tsv",
+                           "--config", "{root}/absent.cfg", "--out", "{out}"]),
+    "non_ascii_dataset": (2, ["evaluate", "--dataset", "{root}/non_ascii.tsv",
+                              "--model", "{root}/m.ckpt", "--out", "{out}"]),
+    "non_ascii_config": (2, ["train", "--dataset", "{root}/ds.tsv", "--config",
+                             "{root}/non_ascii.cfg", "--out", "{out}"]),
+    "non_utf8_model": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                           "--model", "{root}/non_utf8.ckpt", "--out", "{out}"]),
+    "checkpoint_kernel_size_x": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                     "--model", "{root}/kernel_x.ckpt",
+                                     "--out", "{out}"]),
+    "checkpoint_wrong_shape": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                   "--model", "{root}/wide.ckpt",
+                                   "--out", "{out}"]),
+    "comma_in_label_name": (2, ["synth", "--n", "4", "--length", "10",
+                                "--motif", "A,B=ACGT", "--out", "{out}"]),
+}
+
+# the file each failure message must name
+NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
+               "missing_config": "absent.cfg",
+               "non_ascii_dataset": "non_ascii.tsv",
+               "non_ascii_config": "non_ascii.cfg",
+               "non_utf8_model": "non_utf8.ckpt",
+               "checkpoint_kernel_size_x": "kernel_x.ckpt"}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_bad_input_exit_code_and_one_line_message(case, bad_inputs, tmp_path):
+    code, argv = EXIT_CASES[case]
+    argv = [a.format(root=bad_inputs, out=tmp_path / "out") for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "tcnbind.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert NAMED_PATHS.get(case, "") in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the config codec: every field reads back from a --config file
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=model_configs, run=train_configs)
+def test_config_file_round_trips_every_field(tmp_path, model, run):
+    values = {**asdict(model), **asdict(run)}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {format_field(v)}\n"
+                            for k, v in values.items()))
+    assert cli.load_run_config(str(path), []) == values
+    overrides = [f"{k}={format_field(v)}" for k, v in values.items()]
+    assert cli.load_run_config(None, overrides) == values
+
+
+@pytest.mark.parametrize("text", ["", "none", "None", "NONE"])
+def test_unset_optional_field(text):
+    assert cli.load_run_config(None, [f"cnn_kernel_size={text}"]) == {
+        "cnn_kernel_size": None}
+
+
+# ---------------------------------------------------------------------------
+# attribution output depends only on the seed
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_threads_give_byte_identical_maps_and_pwms(tmp_path, synth_file,
+                                                   pipeline_config, threads):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--dataset", synth_file, "--config", pipeline_config,
+               "--set", "epochs=2", "--out", ckpt) == 0
+    outputs = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers as often as possible
+    try:
+        for n in (1, threads):
+            maps, pwms = tmp_path / f"maps{n}.txt", tmp_path / f"pwms{n}.txt"
+            assert run("attribute", "--dataset", synth_file, "--model", ckpt,
+                       "--steps", 6, "--baselines", 3, "--max-samples", 4,
+                       "--seed", 5, "--threads", n, "--out", maps) == 0
+            assert run("motifs", "--dataset", synth_file, "--model", ckpt,
+                       "--steps", 6, "--baselines", 2, "--max-seqs", 8,
+                       "--null-count", 3, "--window", 7, "--seed", 5,
+                       "--threads", n, "--out", pwms) == 0
+            outputs[n] = (maps.read_bytes(), pwms.read_bytes())
+    finally:
+        sys.setswitchinterval(switch)
+    assert outputs[1][0].count(b">") == 4 * 2
+    assert b"MOTIF" in outputs[1][1]
+    assert outputs[threads] == outputs[1]

@@ -370,6 +370,14 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="line 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("names", [
+        ["A", ""], ["A", "caf\u00e9"], ["A", "A"], ["A", "B,C"], ["A", "B C"],
+        ["A", "B\tC"]], ids=["empty", "non_ascii", "duplicate", "comma",
+                             "space", "tab"])
+    def test_label_names_the_formats_cannot_hold(self, names):
+        with pytest.raises(DataError, match="label name"):
+            EncodedDataset(names, ["ACGT"], np.ones((1, 2), dtype=np.uint8))
+
     def test_multilabel_requires_nonempty_rows(self):
         with pytest.raises(DataError):
             EncodedDataset(["A", "B"], ["ACGT"], np.zeros((1, 2), dtype=np.uint8))

@@ -7,6 +7,7 @@ from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
 from tcnbind.data import one_hot
 from tcnbind.model import (Conv1dParams, ModelConfig, TcnBlockParams, TcnModel,
+                           parameter_shapes,
                            conv1d_causal, init_parameters, receptive_field,
                            tcn_block)
 from tcnbind.training import bce_multilabel_loss
@@ -285,3 +286,41 @@ class TestInitParameters:
         no_change = init_parameters(tiny_config(cnn_kernels=8, tcn_channels=8),
                                     np.random.default_rng(15))
         assert "tcn.0.projection.weight" not in no_change
+
+    @pytest.mark.parametrize("overrides", [{}, {"cnn_kernels": 4},
+                                           {"cnn_layers": 0, "tcn_blocks": 0}])
+    def test_registry_follows_the_layout_table(self, overrides):
+        cfg = tiny_config(**overrides)
+        params = init_parameters(cfg, np.random.default_rng(16))
+        assert [(n, p.shape) for n, p in params.items()] == list(
+            parameter_shapes(cfg).items())
+
+
+class TestParameterLayoutCheck:
+    def params(self):
+        return init_parameters(tiny_config(), np.random.default_rng(17))
+
+    def test_wrong_shape_names_tensor_and_both_shapes(self):
+        params = self.params()
+        params["tcn.1.conv2.weight"] = Tensor(np.zeros((8, 8, 5)))
+        with pytest.raises(ValueError, match=r"'tcn\.1\.conv2\.weight' has "
+                           r"shape \(8, 8, 5\), the config expects \(8, 8, 3\)"):
+            TcnModel(tiny_config(), params)
+
+    def test_extra_parameter(self):
+        params = self.params()
+        params["tcn.0.projection.weight"] = Tensor(np.zeros((8, 8, 1)))
+        with pytest.raises(ValueError, match="unexpected parameter"):
+            TcnModel(tiny_config(), params)
+
+    def test_missing_parameter(self):
+        params = self.params()
+        del params["cnn.0.bias"]
+        with pytest.raises(ValueError, match="missing parameter 'cnn.0.bias'"):
+            TcnModel(tiny_config(), params)
+
+    def test_load_arrays_checks_the_same_layout(self, tiny_model):
+        arrays = tiny_model.parameter_arrays()
+        arrays["mlp.out.weight"] = np.zeros((16, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="mlp.out.weight"):
+            tiny_model.load_arrays(arrays)

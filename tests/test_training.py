@@ -1,9 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import tiny_config
+from conftest import model_configs, tiny_config
 
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
@@ -268,3 +271,48 @@ class TestCheckpoints:
         scores = predict_scores(model, x)
         assert scores.shape == (8, 2)
         assert ((scores > 0) & (scores < 1)).all()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update({"tcn.0.conv1.weight": np.zeros((8, 8, 5),
+                                                            np.float32)}),
+         r"'tcn\.0\.conv1\.weight' has shape \(8, 8, 5\), the config "
+         r"expects \(8, 8, 3\)"),
+        (lambda p: p.update({"extra.weight": np.zeros(3, np.float32)}),
+         "unexpected parameter 'extra.weight'"),
+        (lambda p: p.pop("mlp.out.bias"), "missing parameter 'mlp.out.bias'"),
+    ], ids=["wrong_shape", "extra", "missing"])
+    def test_tensors_that_do_not_fit_the_config(self, tmp_path, edit, message):
+        model = TcnModel.initialize(tiny_config(num_labels=2),
+                                    np.random.default_rng(3))
+        params = model.parameter_arrays()
+        edit(params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ModelCheckpoint(model.config, ["A", "B"], params), path)
+        ckpt = load_checkpoint(path)
+        with pytest.raises(DataError, match=message):
+            build_model(ckpt)
+
+    def test_malformed_config_value_is_data_error(self, tmp_path):
+        _, ckpt = self.make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"\nkernel_size=", b"\nkernel_size=x", 1))
+        with pytest.raises(DataError, match="kernel_size expects int"):
+            load_checkpoint(path)
+
+    def test_loaded_model_is_frozen(self):
+        _, ckpt = self.make_checkpoint()
+        assert not any(p.requires_grad for p in build_model(ckpt).params.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=model_configs)
+def test_checkpoint_round_trips_every_model_field(config):
+    labels = [f"L{i}" for i in range(config.num_labels)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(ModelCheckpoint(config, labels, {}), path)
+        loaded = load_checkpoint(path)
+    assert loaded.config == config
+    assert loaded.label_names == labels
