@@ -323,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--peaks", action="append", required=True,
                    metavar="NAME=BED")
     p.add_argument("--genome", required=True)
-    p.add_argument("--window", type=int, default=1000)
+    p.add_argument("--window", type=_positive_int, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_dataset)
 

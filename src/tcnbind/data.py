@@ -373,6 +373,8 @@ class EncodedDataset:
 def build_dataset(peak_sets: dict[str, list[GenomicInterval]],
                   genome: dict[str, str], window: int = 1000) -> EncodedDataset:
     """Intersect peaks, window each region's midpoint, and encode labels."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     label_names = list(peak_sets)
     index = {name: i for i, name in enumerate(label_names)}
     regions = intersect_peaks(peak_sets)

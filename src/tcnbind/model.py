@@ -4,13 +4,22 @@ One-hot DNA goes through a small stack of causal convolutions, then
 residual blocks of dilated causal convolutions (dilation doubling per
 block), and the feature vector at the last time position feeds a one
 hidden layer perceptron that emits one raw logit per label.
+
+The ``last`` readout needs block b only at the positions t = L-1 (mod 2^b),
+and a dilation-2^b causal convolution evaluated there is exactly a
+dilation-1 causal convolution over the subsequence of those positions: the
+à trous / space-to-batch identity (Yu & Koltun, arXiv:1511.07122; Paine et
+al., Fast WaveNet, arXiv:1611.09482). So that forward keeps every second
+position, ending at the last, before each block after the first and runs
+the block's convolutions at dilation 1 on L/2^b positions. The ``mean``
+readout and ``forward(capture=...)`` compute every position.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -218,22 +227,37 @@ def _conv_taploop(xpad, p, nb, length):
 
 
 def dropout(x: Tensor, ratio: float, training: bool,
-            rng: Optional[np.random.Generator]) -> Tensor:
+            rng: Optional[np.random.Generator],
+            length: Optional[int] = None, stride: int = 1) -> Tensor:
+    """Inverted dropout with a mask drawn from ``rng``.
+
+    A decimated ``x`` [B, n, C] holds every ``stride``-th of ``length``
+    positions, ending at the last. Its mask is drawn for all ``length``
+    positions and indexed to the kept ones, so the random stream, and the
+    mask at every kept position, are those of the full-resolution forward.
+    """
     if not training or ratio == 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs a seeded generator")
-    draws = rng.random(x.shape, dtype=np.float32)
+    if stride == 1:
+        draws = rng.random(x.shape, dtype=np.float32)
+    else:
+        draws = rng.random((x.shape[0], length, x.shape[2]),
+                           dtype=np.float32)[:, (length - 1) % stride::stride]
     keep = (draws >= ratio).astype(np.float32) / np.float32(1.0 - ratio)
     return ad.mul(x, Tensor(keep))
 
 
 def tcn_block(x: Tensor, p: TcnBlockParams, training: bool = False,
-              rng: Optional[np.random.Generator] = None) -> Tensor:
+              rng: Optional[np.random.Generator] = None,
+              length: Optional[int] = None, stride: int = 1) -> Tensor:
+    """Residual block; ``length`` and ``stride`` describe a decimated ``x``
+    to dropout."""
     h = ad.relu(conv1d_causal(x, p.conv1))
-    h = dropout(h, p.dropout_ratio, training, rng)
+    h = dropout(h, p.dropout_ratio, training, rng, length, stride)
     h = ad.relu(conv1d_causal(h, p.conv2))
-    h = dropout(h, p.dropout_ratio, training, rng)
+    h = dropout(h, p.dropout_ratio, training, rng, length, stride)
     skip = x if p.projection is None else conv1d_causal(x, p.projection)
     return ad.relu(ad.add(h, skip))
 
@@ -346,14 +370,26 @@ class TcnModel:
                                    self.params[f"tcn.{b}.conv2.bias"], dilation=2 ** b),
                 projection=proj,
                 dropout_ratio=cfg.dropout))
+        # the same tensors at dilation 1, for the decimated `last` forward
+        self._decimated_blocks: list[TcnBlockParams] = [
+            replace(block, conv1=replace(block.conv1, dilation=1),
+                    conv2=replace(block.conv2, dilation=1))
+            for block in self._blocks]
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 capture: Optional[dict] = None) -> Tensor:
         """Map one-hot input [L, 4] to logits [k], or [B, L, 4] to [B, k].
 
+        With the ``last`` readout and no ``capture``, block b runs at
+        dilation 1 on the L/2^b positions t = L-1 (mod 2^b): a dilation-2^b
+        causal convolution read only there is a dilation-1 one over them
+        (arXiv:1511.07122, arXiv:1611.09482). The logits are those of the
+        full-resolution forward, and dropout draws the same masks.
+
         ``capture``, when given, receives copies of every intermediate
-        activation keyed by layer name (used by the causality checks).
+        activation keyed by layer name, each at all L positions: it is the
+        full-resolution view the causality checks read.
         """
         cfg = self.config
         squeeze = x.ndim == 2
@@ -367,10 +403,19 @@ class TcnModel:
             h = dropout(ad.relu(conv1d_causal(h, conv)), cfg.dropout, training, rng)
             if capture is not None:
                 capture[f"cnn.{i}"] = h.data.copy()
-        for b, block in enumerate(self._blocks):
-            h = tcn_block(h, block, training, rng)
-            if capture is not None:
-                capture[f"tcn.{b}"] = h.data.copy()
+        if cfg.classifier_input == "last" and capture is None:
+            length, stride = h.shape[1], 1
+            for b, block in enumerate(self._decimated_blocks):
+                if b > 0:  # keep every second position, ending at the last
+                    n = h.shape[1]
+                    h = ad.getitem(h, (slice(None), slice((n - 1) % 2, None, 2)))
+                    stride *= 2
+                h = tcn_block(h, block, training, rng, length, stride)
+        else:
+            for b, block in enumerate(self._blocks):
+                h = tcn_block(h, block, training, rng)
+                if capture is not None:
+                    capture[f"tcn.{b}"] = h.data.copy()
 
         if cfg.classifier_input == "mean":
             feats = ad.reduce_mean(h, axes=(1,))  # [B, C] averaged over time

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if not (math.isfinite(self.lr_max) and self.lr_max > 0):
+            raise ValueError(f"lr_max must be a positive number, got {self.lr_max}")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
         if self.patience < 1:

@@ -30,6 +30,44 @@ def naive_causal_conv(x, w, b, dilation):
     return y
 
 
+def reference_forward(model: TcnModel, x: np.ndarray,
+                      rng: np.random.Generator = None) -> np.ndarray:
+    """float64 logits [B, k] of ``model`` on x [B, L, 4], every layer computed
+    at all L positions with ``naive_causal_conv`` (block b at dilation 2^b).
+
+    With ``rng``, dropout is on and draws its masks from it in the model's
+    order: each cnn layer, each block's two convolutions, the hidden layer,
+    every one at full resolution."""
+    cfg = model.config
+    w = {name: p.data.astype(np.float64) for name, p in model.params.items()}
+
+    def conv(h, name, dilation):
+        return np.stack([naive_causal_conv(seq, w[f"{name}.weight"],
+                                           w[f"{name}.bias"], dilation)
+                         for seq in h])
+
+    def drop(h):
+        if rng is None or cfg.dropout == 0.0:
+            return h
+        draws = rng.random(h.shape, dtype=np.float32)
+        return h * ((draws >= cfg.dropout).astype(np.float32)
+                    / np.float32(1.0 - cfg.dropout))
+
+    h = np.asarray(x, dtype=np.float64)
+    for i in range(cfg.cnn_layers):
+        h = drop(np.maximum(conv(h, f"cnn.{i}", 1), 0))
+    for b in range(cfg.tcn_blocks):
+        a = drop(np.maximum(conv(h, f"tcn.{b}.conv1", 2 ** b), 0))
+        a = drop(np.maximum(conv(a, f"tcn.{b}.conv2", 2 ** b), 0))
+        skip = (conv(h, f"tcn.{b}.projection", 1)
+                if f"tcn.{b}.projection.weight" in w else h)
+        h = np.maximum(a + skip, 0)
+    feats = h[:, -1] if cfg.classifier_input == "last" else h.mean(axis=1)
+    hidden = drop(np.maximum(feats @ w["mlp.hidden.weight"]
+                             + w["mlp.hidden.bias"], 0))
+    return hidden @ w["mlp.out.weight"] + w["mlp.out.bias"]
+
+
 def tiny_config(**overrides):
     base = dict(input_length=32, num_labels=3, cnn_layers=1, cnn_kernels=8,
                 tcn_blocks=2, tcn_channels=8, kernel_size=3, mlp_hidden=16,

@@ -212,6 +212,8 @@ def bad_inputs(tmp_path_factory):
     (root / "non_ascii.tsv").write_bytes(
         (root / "ds.tsv").read_bytes() + "# caf\u00e9\n".encode())
     (root / "non_ascii.cfg").write_bytes("dropout = 0.0  # \u00e9\n".encode())
+    (root / "g.fa").write_text(">chr1\nACGTACGTACGTACGTACGTACGT\n")
+    (root / "p.bed").write_text("chr1\t4\t20\n")
     return root
 
 
@@ -224,6 +226,13 @@ EXIT_CASES = {
                              "--set", "kernel_size=0", "--out", "{out}"]),
     "unknown_monitor": (1, ["train", "--dataset", "{root}/ds.tsv",
                             "--set", "monitor=auc", "--out", "{out}"]),
+    "negative_lr_max": (1, ["train", "--dataset", "{root}/ds.tsv",
+                            "--set", "lr_max=-1", "--out", "{out}"]),
+    "nan_lr_max": (1, ["train", "--dataset", "{root}/ds.tsv",
+                       "--set", "lr_max=nan", "--out", "{out}"]),
+    "zero_dataset_window": (1, ["build-dataset", "--peaks", "TF0={root}/p.bed",
+                                "--genome", "{root}/g.fa", "--window", "0",
+                                "--out", "{out}"]),
     "zero_ig_steps": (1, ["attribute", "--dataset", "{root}/ds.tsv",
                           "--model", "{root}/m.ckpt", "--steps", "0",
                           "--out", "{out}"]),

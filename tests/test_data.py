@@ -152,6 +152,12 @@ class TestExtractWindow:
         seq = extract_window(genome, region)
         assert seq is not None and len(seq) == 1000
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_build_dataset_rejects_empty_windows(self, window):
+        peaks = {"A": [GenomicInterval("c", 1, 4)]}
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            dat.build_dataset(peaks, self.GENOME, window=window)
+
 
 class TestOneHot:
     def test_acgt_is_identity(self):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import measured_receptive_field, naive_causal_conv, tiny_config
+import math
+
+from conftest import (measured_receptive_field, naive_causal_conv,
+                      reference_forward, tiny_config)
 
 from tcnbind import autodiff as ad
+from tcnbind import model as tcn_model
 from tcnbind.autodiff import Tensor
 from tcnbind.data import one_hot
 from tcnbind.model import (Conv1dParams, ModelConfig, TcnBlockParams, TcnModel,
@@ -213,6 +217,151 @@ class TestModelForward:
         for name, p in tiny_model.params.items():
             assert p.grad is not None, f"{name} has no gradient"
         assert any(np.abs(p.grad).max() > 0 for p in tiny_model.params.values())
+
+
+# Shapes for the decimated `last` forward (receptive field, then length):
+DECIMATION_SHAPES = {
+    "odd_length_rf_below_length": dict(input_length=33),         # rf 15
+    "rf_above_length": dict(input_length=10, tcn_blocks=3),      # rf 31
+    "grid_shrinks_to_one": dict(input_length=5, tcn_blocks=4),   # 5, 3, 2, 1
+    "projection_block": dict(input_length=12, cnn_kernels=4, tcn_blocks=3),
+    "no_cnn_layers": dict(input_length=9, cnn_layers=0, tcn_blocks=3),
+    "no_tcn_blocks": dict(input_length=7, tcn_blocks=0),
+    "length_one": dict(input_length=1, tcn_blocks=3),
+}
+
+
+def decimation_case(overrides, seed=0, batch=3):
+    cfg = tiny_config(dropout=0.3, **overrides)
+    model = TcnModel.initialize(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    x = rng.uniform(0, 1, (batch, cfg.input_length, 4)).astype(np.float32)
+    weights = rng.uniform(-1, 1, (batch, cfg.num_labels)).astype(np.float32)
+    return model, x, weights
+
+
+def logits_and_grads(model, x, weights, capture=None):
+    """Training-mode logits (dropout seeded) and the gradients of
+    sum(weights * logits) with respect to the input and every parameter."""
+    model.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    logits = model.forward(xt, training=True, rng=np.random.default_rng(9),
+                           capture=capture)
+    ad.reduce_sum(ad.mul(logits, Tensor(weights))).backward()
+    return logits.data, xt.grad, {n: p.grad for n, p in model.params.items()}
+
+
+class TestDecimatedForward:
+    """The `last` readout runs block b at dilation 1 on the positions
+    t = L-1 (mod 2^b). It must give the logits and gradients of the
+    full-resolution forward, which ``capture`` still runs."""
+
+    @pytest.mark.parametrize("case", list(DECIMATION_SHAPES))
+    def test_bit_identical_to_full_resolution(self, case):
+        # On these tiny shapes both paths take the im2col kernel and every
+        # sum they share adds the same terms: equal bits, not a tolerance.
+        model, x, weights = decimation_case(DECIMATION_SHAPES[case])
+        logits, dx, grads = logits_and_grads(model, x, weights)
+        full_logits, full_dx, full_grads = logits_and_grads(
+            model, x, weights, capture={})
+        np.testing.assert_array_equal(logits, full_logits)
+        np.testing.assert_array_equal(dx, full_dx)
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, full_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("case", list(DECIMATION_SHAPES))
+    def test_matches_float64_reference(self, case):
+        model, x, weights = decimation_case(DECIMATION_SHAPES[case])
+        logits, _, _ = logits_and_grads(model, x, weights)
+        want = reference_forward(model, x, rng=np.random.default_rng(9))
+        np.testing.assert_allclose(logits, want, rtol=1e-5, atol=1e-6)
+        with ad.no_grad():
+            eval_logits = model.forward(Tensor(x)).data
+        np.testing.assert_allclose(eval_logits, reference_forward(model, x),
+                                   rtol=1e-5, atol=1e-6)
+
+    def test_larger_shape_across_conv_kernels(self):
+        # Full resolution takes the tap-loop kernel on every block here and
+        # the decimated blocks take im2col, which sums the taps in another
+        # order: agreement to float32 rounding, stated as rtol 1e-4.
+        cfg = ModelConfig(input_length=1000, num_labels=2, cnn_layers=1,
+                          cnn_kernels=32, tcn_blocks=3, tcn_channels=32,
+                          kernel_size=16, mlp_hidden=8, dropout=0.3)
+        assert 8 * 1000 * 16 * 32 > tcn_model._IM2COL_ELEMENT_LIMIT
+        model = TcnModel.initialize(cfg, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0, 1, (8, 1000, 4)).astype(np.float32)
+        weights = rng.uniform(-1, 1, (8, 2)).astype(np.float32)
+        logits, dx, grads = logits_and_grads(model, x, weights)
+        full_logits, full_dx, full_grads = logits_and_grads(
+            model, x, weights, capture={})
+        scale = lambda a: 1e-4 * np.abs(a).max()
+        np.testing.assert_allclose(logits, full_logits, rtol=1e-4,
+                                   atol=scale(full_logits))
+        np.testing.assert_allclose(dx, full_dx, rtol=1e-4, atol=scale(full_dx))
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, full_grads[name], rtol=1e-4,
+                                       atol=scale(full_grads[name]),
+                                       err_msg=name)
+
+    def test_input_gradient_matches_finite_differences(self):
+        model, x, weights = decimation_case(
+            dict(input_length=9, tcn_blocks=3), batch=1)
+
+        def loss(t):
+            logits = model.forward(t, training=True,
+                                   rng=np.random.default_rng(9))
+            return ad.reduce_sum(ad.mul(logits, Tensor(weights)))
+
+        # float32 forward: a smaller step drowns in rounding (6% at 3e-4),
+        # a larger one crosses ReLU kinks (35% at 1e-2); 3e-3 gives 0.3%
+        assert ad.finite_difference_check(loss, Tensor(x), eps=3e-3) < 1e-2
+
+
+class TestDecimatedWorkShape:
+    """Which sequence length each convolution runs on: catches the
+    decimated path silently turning off, without timing anything."""
+
+    def conv_lengths(self, monkeypatch, config, capture=None):
+        seen = []
+        conv = tcn_model.conv1d_causal
+
+        def recording(x, p):
+            seen.append(x.shape[-2])
+            return conv(x, p)
+
+        monkeypatch.setattr(tcn_model, "conv1d_causal", recording)
+        model = TcnModel.initialize(config, np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(
+            0, 1, (2, config.input_length, 4)).astype(np.float32)
+        model.forward(Tensor(x), capture=capture)
+        return seen
+
+    @staticmethod
+    def per_block(config, length_of_block):
+        convs = 3 if config.cnn_kernels != config.tcn_channels else 2
+        lengths = [config.input_length] * config.cnn_layers
+        for b in range(config.tcn_blocks):
+            lengths += [length_of_block(b)] * (convs if b == 0 else 2)
+        return lengths
+
+    @pytest.mark.parametrize("length", [1, 24, 33, 100])
+    def test_last_runs_block_b_on_ceil_length_over_2_to_the_b(self, monkeypatch,
+                                                              length):
+        cfg = tiny_config(input_length=length, cnn_kernels=4, tcn_blocks=4)
+        want = self.per_block(cfg, lambda b: math.ceil(length / 2 ** b))
+        assert self.conv_lengths(monkeypatch, cfg) == want
+
+    def test_mean_runs_every_conv_on_all_positions(self, monkeypatch):
+        cfg = tiny_config(input_length=33, cnn_kernels=4, tcn_blocks=4,
+                          classifier_input="mean")
+        assert self.conv_lengths(monkeypatch, cfg) == self.per_block(
+            cfg, lambda b: 33)
+
+    def test_capture_runs_every_conv_on_all_positions(self, monkeypatch):
+        cfg = tiny_config(input_length=33, cnn_kernels=4, tcn_blocks=4)
+        assert self.conv_lengths(monkeypatch, cfg, capture={}) == \
+            self.per_block(cfg, lambda b: 33)
 
 
 class TestReceptiveField:
