@@ -73,7 +73,7 @@ def make_shuffled_baselines(sequence: str, count: int,
     return [one_hot(dinucleotide_shuffle(sequence, rng)) for _ in range(count)]
 
 
-def integrated_gradients(model: TcnModel, x, label_index: int,
+def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
                          baselines: Sequence[np.ndarray], steps: int = 50,
                          label_name: Optional[str] = None,
                          sequence: str = "", sample_id: str = "") -> AttributionMap:
@@ -92,9 +92,9 @@ def integrated_gradients(model: TcnModel, x, label_index: int,
         raise IndexError(
             f"label index {label_index} out of range for "
             f"{model.config.num_labels} labels")
-    target = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    target = np.asarray(x, dtype=np.float64)
     if target.ndim != 2:
-        raise ValueError("attribution input must be a single [L, 4] tensor")
+        raise ValueError("attribution input must be a single [L, 4] array")
 
     alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
     per_baseline_maps = []

@@ -1,9 +1,12 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-Keeps just enough machinery to express a causal convolutional classifier
-and differentiate it with respect to parameters and inputs. Tensors are
-immutable after construction except for gradient accumulation; the graph
-linking them is freed as soon as ``backward`` has replayed it.
+Holds only the differentiable ops that the causal convolutional classifier
+and its attribution record: add, mul (dropout), matmul, relu, sum and mean
+reductions, reshape and getitem, plus ``make_op`` for the primitives defined
+elsewhere (the convolution and the loss), the backward pass and a
+finite-difference gradient checker. Tensors are immutable after construction
+except for gradient accumulation; the graph linking them is freed as soon as
+``backward`` has replayed it.
 """
 
 from __future__ import annotations
@@ -51,19 +54,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "node", "exact")
 
-    def __init__(self, values, shape: Sequence[int] | None = None,
-                 requires_grad: bool = False):
-        data = np.asarray(values, dtype=np.float32)
-        if shape is not None:
-            shape = tuple(int(s) for s in shape)
-            if any(s <= 0 for s in shape):
-                raise ValueError(f"extents must be positive, got {shape}")
-            expected = int(np.prod(shape))
-            if data.size != expected:
-                raise ValueError(
-                    f"shape {shape} expects {expected} values, got {data.size}")
-            data = data.reshape(shape)
-        self.data = data
+    def __init__(self, values, requires_grad: bool = False):
+        self.data = np.asarray(values, dtype=np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[Array] = None
         self.node: Optional[Node] = None
@@ -86,7 +78,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            _non_scalar(self)
+            raise ValueError(f"expected a one-element tensor, got shape {self.shape}")
         if self.exact is not None:
             return self.exact
         return float(self.data.reshape(-1)[0])
@@ -97,9 +89,6 @@ class Tensor:
     # Operator sugar; the module functions do the work.
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
@@ -112,10 +101,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-
-def _non_scalar(t: Tensor):
-    raise ValueError(f"expected a one-element tensor, got shape {t.shape}")
 
 
 def _as_tensor(value) -> Tensor:
@@ -153,15 +138,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(data, "add", (a, b), backward_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward_fn(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record(data, "sub", (a, b), backward_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -195,33 +171,6 @@ def relu(x: Tensor) -> Tensor:
         return ((x.data > 0).astype(np.float32) * g,)
 
     return _record(data, "relu", (x,), backward_fn)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    data = _sigmoid_stable(x.data)
-
-    def backward_fn(g: Array):
-        return (data * (1.0 - data) * g,)
-
-    return _record(data, "sigmoid", (x,), backward_fn)
-
-
-def tanh(x: Tensor) -> Tensor:
-    data = np.tanh(x.data)
-
-    def backward_fn(g: Array):
-        return ((1.0 - data * data) * g,)
-
-    return _record(data, "tanh", (x,), backward_fn)
-
-
-def _sigmoid_stable(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,49 +225,8 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
     return out
 
 
-def reduce_max(x: Tensor, axes=None) -> Tensor:
-    axes = _normalize_axes(axes, x.ndim)
-    # Collapse the reduced axes to one trailing axis so argmax can pick the
-    # lowest-index maximum deterministically.
-    order = [a for a in range(x.ndim) if a not in axes] + list(axes)
-    moved = np.transpose(x.data, order)
-    kept_shape = moved.shape[: x.ndim - len(axes)]
-    flat = moved.reshape(kept_shape + (-1,))
-    winners = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, winners[..., None], axis=-1)[..., 0]
-
-    def backward_fn(g: Array):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, winners[..., None], g.reshape(kept_shape + (1,)), axis=-1)
-        inverse = np.argsort(order)
-        return (np.ascontiguousarray(
-            np.transpose(gflat.reshape(moved.shape), inverse)),)
-
-    return _record(data, "max", (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
-
-def pad_leading(x: Tensor, amount: int, value: float = 0.0) -> Tensor:
-    """Prepend ``amount`` constant positions along the time axis (axis -2)."""
-    if amount < 0:
-        raise ValueError(f"pad amount must be non-negative, got {amount}")
-    if x.ndim < 2:
-        raise ValueError("pad_leading expects a [..., L, C] tensor")
-    if amount == 0:
-        pads = None
-    else:
-        pads = [(0, 0)] * x.ndim
-        pads[-2] = (amount, 0)
-    data = x.data if pads is None else np.pad(
-        x.data, pads, constant_values=np.float32(value))
-
-    def backward_fn(g: Array):
-        return (g[..., amount:, :],)
-
-    return _record(data, "pad_leading", (x,), backward_fn)
-
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)

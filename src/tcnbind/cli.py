@@ -58,6 +58,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _open_unit_float(text: str) -> float:
+    """argparse type of a score threshold, which must lie in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
     """Flat key=value configuration; file first, then flag overrides.
     Unknown keys are rejected."""
@@ -364,7 +375,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_open_unit_float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -374,9 +385,9 @@ def build_parser() -> _Parser:
     p.add_argument("--label", help="label name, or 'all'")
     p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--baselines", type=_positive_int, default=10)
-    p.add_argument("--max-samples", type=int, default=10)
+    p.add_argument("--max-samples", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
 
@@ -390,7 +401,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-seqs", type=_positive_int, default=40)
     p.add_argument("--null-count", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_motifs)
     return parser

@@ -21,7 +21,6 @@ for _i, _b in enumerate(BASES + "N"):
     _BASE_INDEX[ord(_b)] = _i
 _ONE_HOT_ROWS = np.vstack([np.eye(4, dtype=np.float32),
                            np.zeros((1, 4), dtype=np.float32)])
-_COMPLEMENT = str.maketrans("ACGTN", "TGCAN")
 
 
 class DataError(ValueError):
@@ -211,16 +210,6 @@ def one_hot(sequence: str) -> np.ndarray:
         bad = sorted(set(sequence) - set("ACGTN"))
         raise DataError(f"invalid sequence characters {bad}")
     return _ONE_HOT_ROWS[codes]
-
-
-def decode_one_hot(x: np.ndarray) -> str:
-    present = x.sum(axis=1) > 0
-    picks = x.argmax(axis=1)
-    return "".join(BASES[p] if keep else "N" for p, keep in zip(picks, present))
-
-
-def reverse_complement(sequence: str) -> str:
-    return sequence.translate(_COMPLEMENT)[::-1]
 
 
 def dinucleotide_shuffle(sequence: str, rng: np.random.Generator) -> str:

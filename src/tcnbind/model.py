@@ -99,18 +99,6 @@ class Conv1dParams:
     bias: Tensor     # [out_channels]
     dilation: int = 1
 
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def kernel_size(self) -> int:
-        return self.weights.shape[2]
-
 
 @dataclass
 class TcnBlockParams:

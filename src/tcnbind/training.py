@@ -72,6 +72,15 @@ class AdamState:
         self.t = 0
 
 
+def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def bce_multilabel_loss(logits: Tensor, targets) -> Tensor:
     """Mean over all (sample, label) slots of the stable sigmoid cross-entropy
     max(z, 0) - z*y + log(1 + exp(-|z|))."""
@@ -86,7 +95,7 @@ def bce_multilabel_loss(logits: Tensor, targets) -> Tensor:
 
     def backward_fn(g: np.ndarray):
         scale = np.float32(float(g) / z.size)
-        return ((ad._sigmoid_stable(z) - y) * scale,)
+        return ((_sigmoid_stable(z) - y) * scale,)
 
     out = ad.make_op(np.float32(value), "bce_with_logits", (logits,), backward_fn)
     out.exact = float(value)
@@ -131,7 +140,7 @@ def predict_scores(model: TcnModel, inputs: np.ndarray,
         for start in range(0, len(inputs), batch_size):
             logits = model.forward(Tensor(inputs[start:start + batch_size]),
                                    training=False)
-            outputs.append(ad._sigmoid_stable(logits.data))
+            outputs.append(_sigmoid_stable(logits.data))
     return np.concatenate(outputs) if outputs else np.zeros((0, model.config.num_labels))
 
 

@@ -239,6 +239,34 @@ EXIT_CASES = {
     "zero_seqlet_window": (1, ["motifs", "--dataset", "{root}/ds.tsv",
                                "--model", "{root}/m.ckpt", "--window", "0",
                                "--out", "{out}"]),
+    "threshold_above_one": (1, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                "--model", "{root}/m.ckpt", "--threshold", "7",
+                                "--out", "{out}"]),
+    "zero_threshold": (1, ["evaluate", "--dataset", "{root}/ds.tsv",
+                           "--model", "{root}/m.ckpt", "--threshold", "0",
+                           "--out", "{out}"]),
+    "nan_threshold": (1, ["evaluate", "--dataset", "{root}/ds.tsv",
+                          "--model", "{root}/m.ckpt", "--threshold", "nan",
+                          "--out", "{out}"]),
+    "zero_max_samples": (1, ["attribute", "--dataset", "{root}/ds.tsv",
+                             "--model", "{root}/m.ckpt", "--max-samples", "0",
+                             "--out", "{out}"]),
+    "negative_max_samples": (1, ["attribute", "--dataset", "{root}/ds.tsv",
+                                 "--model", "{root}/m.ckpt",
+                                 "--max-samples", "-1", "--out", "{out}"]),
+    "zero_attribute_threads": (1, ["attribute", "--dataset", "{root}/ds.tsv",
+                                   "--model", "{root}/m.ckpt", "--threads", "0",
+                                   "--out", "{out}"]),
+    "negative_attribute_threads": (1, ["attribute", "--dataset",
+                                       "{root}/ds.tsv", "--model",
+                                       "{root}/m.ckpt", "--threads", "-2",
+                                       "--out", "{out}"]),
+    "zero_motifs_threads": (1, ["motifs", "--dataset", "{root}/ds.tsv",
+                                "--model", "{root}/m.ckpt", "--threads", "0",
+                                "--out", "{out}"]),
+    "negative_motifs_threads": (1, ["motifs", "--dataset", "{root}/ds.tsv",
+                                    "--model", "{root}/m.ckpt", "--threads",
+                                    "-2", "--out", "{out}"]),
     "missing_dataset": (2, ["evaluate", "--dataset", "{root}/absent.tsv",
                             "--model", "{root}/m.ckpt", "--out", "{out}"]),
     "missing_model": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
