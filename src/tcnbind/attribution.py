@@ -57,15 +57,6 @@ class Pwm:
     def consensus(self) -> str:
         return "".join("ACGT"[i] for i in self.matrix.argmax(axis=1))
 
-    def trimmed(self, min_info: float = 0.5) -> "Pwm":
-        """Crop to the span between the first and last informative rows."""
-        keep = np.flatnonzero(self.information >= min_info)
-        if keep.size == 0:
-            return self
-        lo, hi = keep[0], keep[-1] + 1
-        return Pwm(self.matrix[lo:hi], self.information[lo:hi],
-                   self.members, self.name)
-
 
 def make_shuffled_baselines(sequence: str, count: int,
                             rng: np.random.Generator) -> list[np.ndarray]:
@@ -181,6 +172,9 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
     Draws from ``rng`` in a fixed order before any IG runs: the null
     shuffles, then the real sequences' baselines, then the nulls'.
     """
+    if window > ds.sequence_length:
+        raise DataError(f"seqlet window {window} exceeds the sequence length "
+                        f"{ds.sequence_length}")
     label = ds.label_names[label_index]
     positives = np.flatnonzero(ds.labels[:, label_index] == 1)[:max_seqs]
     if positives.size == 0:
@@ -357,7 +351,8 @@ def pwm_similarity(a: Pwm, b: Pwm) -> float:
 def write_attribution_maps(maps: Iterable[AttributionMap], path,
                            header_lines: Iterable[str] = ()) -> None:
     """One block per map: '>sample_id label completeness_gap' then L rows of
-    4 tab-separated reals."""
+    4 tab-separated reals. The sample id may contain spaces; the label and
+    the gap are the header's last two fields."""
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -387,7 +382,7 @@ def read_attribution_maps(path) -> list[AttributionMap]:
                 continue
             if line.startswith(">"):
                 flush()
-                parts = line[1:].split()
+                parts = line[1:].rsplit(maxsplit=2)
                 if len(parts) != 3:
                     raise DataError(f"line {lineno}: malformed block header")
                 head = (parts[0], parts[1], float(parts[2]))

@@ -7,7 +7,9 @@ Exit codes; every failure ends with a one-line message on stderr:
      or a --config/--set key or value that the configuration rejects;
   2  data error: an input file that is missing, unreadable, not ASCII text
      (checkpoints: not UTF-8) or malformed, inputs that disagree with each
-     other, or an output path that cannot be written;
+     other, data a step cannot use (a training or evaluation set with no
+     positive label, a motif window longer than the sequences), or an
+     output path that cannot be written;
   3  numerical abort: the training loss became non-finite.
 """
 
@@ -233,6 +235,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
     model_cfg, train_cfg = _split_configs(resolved, train_ds)
+    trn.check_training_sets(train_ds, val_ds, model_cfg.num_labels)
     resolved = {**asdict(model_cfg), **asdict(train_cfg)}
     header = _provenance(resolved, train_cfg.seed)
 

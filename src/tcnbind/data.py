@@ -348,15 +348,11 @@ class EncodedDataset:
 
     def subset(self, indices) -> "EncodedDataset":
         indices = np.asarray(indices, dtype=np.int64)
-        out = EncodedDataset(
+        return EncodedDataset(
             label_names=list(self.label_names),
             sequences=[self.sequences[i] for i in indices],
             labels=self.labels[indices].copy(),
             origins=[self.origins[i] for i in indices])
-        planted = getattr(self, "planted", None)
-        if planted is not None:
-            out.planted = [planted[i] for i in indices]
-        return out
 
 
 def build_dataset(peak_sets: dict[str, list[GenomicInterval]],
@@ -455,11 +451,10 @@ def sample_label_vector(spec: SyntheticSpec, rng: np.random.Generator) -> np.nda
 def generate_synthetic(spec: SyntheticSpec,
                        rng: np.random.Generator) -> EncodedDataset:
     names = list(spec.label_motifs)
-    sequences, rows, plant_log = [], [], []
+    sequences, rows = [], []
     for _ in range(spec.num_samples):
         y = sample_label_vector(spec, rng)
         background = rng.integers(0, 4, size=spec.length)
-        plants = []
         for li, name in enumerate(names):
             if not y[li]:
                 continue
@@ -471,13 +466,9 @@ def generate_synthetic(spec: SyntheticSpec,
                 codes[flips] = (codes[flips] + rng.integers(1, 4, codes.size)[flips]) % 4
             pos = int(rng.integers(0, spec.length - codes.size + 1))
             background[pos:pos + codes.size] = codes
-            plants.append((name, pos, codes.size))
         sequences.append("".join(BASES[c] for c in background))
         rows.append(y)
-        plant_log.append(plants)
-    ds = EncodedDataset(names, sequences, np.array(rows, dtype=np.uint8))
-    ds.planted = plant_log  # ground truth kept for motif-recovery checks
-    return ds
+    return EncodedDataset(names, sequences, np.array(rows, dtype=np.uint8))
 
 
 def split_dataset(ds: EncodedDataset, train_frac: float,

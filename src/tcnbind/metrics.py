@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import DataError
+
 logger = logging.getLogger(__name__)
 
 AVERAGE_MODES = ("macro", "micro", "samples", "weighted")
@@ -163,7 +165,7 @@ def metrics_report(scores: np.ndarray, targets: np.ndarray,
 
     Summary AP/AUC pool all (sample, label) pairs; macro variants are also
     emitted. Labels with no positives are excluded from macro, weighted,
-    and summary aggregation with a warning.
+    and summary aggregation with a warning; DataError when no label has one.
     """
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets)
@@ -171,6 +173,9 @@ def metrics_report(scores: np.ndarray, targets: np.ndarray,
         raise ValueError("scores/targets must be matching [N, k] matrices")
     if scores.shape[1] != len(label_names):
         raise ValueError("label names do not match score columns")
+    if not (targets == 1).any():
+        raise DataError(f"no positive label among {len(targets)} records, so "
+                        f"average precision is undefined")
 
     counts = confusion_counts(scores, targets, threshold)
     p, r, f1 = precision_recall_f1(counts)

@@ -1,9 +1,10 @@
 """Causal convolutional sequence classifier.
 
-One-hot DNA goes through a small stack of causal convolutions, then
-residual blocks of dilated causal convolutions (dilation doubling per
-block), and the feature vector at the last time position feeds a one
-hidden layer perceptron that emits one raw logit per label.
+A batch of one-hot DNA [B, L, 4] goes through a small stack of causal
+convolutions, then residual blocks of dilated causal convolutions (dilation
+doubling per block), and the feature vector at the last time position feeds
+a one hidden layer perceptron that emits one raw logit per label, [B, k].
+Every layer takes and returns batches.
 
 The ``last`` readout needs block b only at the positions t = L-1 (mod 2^b),
 and a dilation-2^b causal convolution evaluated there is exactly a
@@ -125,37 +126,25 @@ _IM2COL_ELEMENT_LIMIT = 4_000_000
 
 
 def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
-    """y[t, o] = bias[o] + sum_{c,i} W[o,c,i] * x[t - d*i, c], zeros off the left edge.
+    """y[b, t, o] = bias[o] + sum_{c,i} W[o,c,i] * x[b, t - d*i, c], zeros off the left edge.
 
-    Accepts [L, C_in] or [B, L, C_in]; output length always equals input length.
+    Takes [B, L, C_in] to [B, L, C_out].
     """
-    out_ch, in_ch, k = p.weights.shape
+    _, in_ch, k = p.weights.shape
     d = p.dilation
-    batched = x.ndim == 3
-    if x.ndim not in (2, 3) or x.shape[-1] != in_ch:
+    if x.ndim != 3 or x.shape[-1] != in_ch:
         raise ValueError(
-            f"conv expects [..., L, {in_ch}] input, got shape {x.shape}")
+            f"conv expects [B, L, {in_ch}] input, got shape {x.shape}")
 
-    xd = x.data if batched else x.data[None]
-    nb, length, _ = xd.shape
+    nb, length, _ = x.shape
     pad = (k - 1) * d
-    xpad = np.pad(xd, ((0, 0), (pad, 0), (0, 0)))
+    xpad = np.pad(x.data, ((0, 0), (pad, 0), (0, 0)))
 
     if nb * length * k * in_ch <= _IM2COL_ELEMENT_LIMIT:
         y, backward_fn = _conv_im2col(xpad, p, nb, length)
     else:
         y, backward_fn = _conv_taploop(xpad, p, nb, length)
-    if not batched:
-        inner = backward_fn
-        backward_fn = lambda g: _squeeze_first(inner(g[None]))
-
-    return ad.make_op(y if batched else y[0], "conv1d_causal",
-                      (x, p.weights, p.bias), backward_fn)
-
-
-def _squeeze_first(grads):
-    dx, dw, db = grads
-    return dx[0], dw, db
+    return ad.make_op(y, "conv1d_causal", (x, p.weights, p.bias), backward_fn)
 
 
 def _conv_im2col(xpad, p, nb, length):
@@ -367,7 +356,7 @@ class TcnModel:
     def forward(self, x: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 capture: Optional[dict] = None) -> Tensor:
-        """Map one-hot input [L, 4] to logits [k], or [B, L, 4] to [B, k].
+        """Map one-hot input [B, L, 4] to logits [B, k].
 
         With the ``last`` readout and no ``capture``, block b runs at
         dilation 1 on the L/2^b positions t = L-1 (mod 2^b): a dilation-2^b
@@ -380,30 +369,26 @@ class TcnModel:
         full-resolution view the causality checks read.
         """
         cfg = self.config
-        squeeze = x.ndim == 2
-        if x.shape[-2] != cfg.input_length or x.shape[-1] != cfg.alphabet_size:
+        if x.shape[1:] != (cfg.input_length, cfg.alphabet_size):
             raise ValueError(
-                f"expected input [{cfg.input_length}, {cfg.alphabet_size}], "
+                f"expected input [B, {cfg.input_length}, {cfg.alphabet_size}], "
                 f"got {x.shape}")
-        h = ad.reshape(x, (1,) + x.shape) if squeeze else x
 
+        h = x
         for i, conv in enumerate(self._cnn):
             h = dropout(ad.relu(conv1d_causal(h, conv)), cfg.dropout, training, rng)
             if capture is not None:
                 capture[f"cnn.{i}"] = h.data.copy()
-        if cfg.classifier_input == "last" and capture is None:
-            length, stride = h.shape[1], 1
-            for b, block in enumerate(self._decimated_blocks):
-                if b > 0:  # keep every second position, ending at the last
-                    n = h.shape[1]
-                    h = ad.getitem(h, (slice(None), slice((n - 1) % 2, None, 2)))
-                    stride *= 2
-                h = tcn_block(h, block, training, rng, length, stride)
-        else:
-            for b, block in enumerate(self._blocks):
-                h = tcn_block(h, block, training, rng)
-                if capture is not None:
-                    capture[f"tcn.{b}"] = h.data.copy()
+        decimate = cfg.classifier_input == "last" and capture is None
+        length, stride = h.shape[1], 1
+        for b, block in enumerate(self._decimated_blocks if decimate else self._blocks):
+            if decimate and b > 0:  # keep every second position, ending at the last
+                n = h.shape[1]
+                h = ad.getitem(h, (slice(None), slice((n - 1) % 2, None, 2)))
+                stride *= 2
+            h = tcn_block(h, block, training, rng, length, stride)
+            if capture is not None:
+                capture[f"tcn.{b}"] = h.data.copy()
 
         if cfg.classifier_input == "mean":
             feats = ad.reduce_mean(h, axes=(1,))  # [B, C] averaged over time
@@ -414,9 +399,8 @@ class TcnModel:
         hidden = ad.relu(ad.add(ad.matmul(feats, self.params["mlp.hidden.weight"]),
                                 self.params["mlp.hidden.bias"]))
         hidden = dropout(hidden, cfg.dropout, training, rng)
-        logits = ad.add(ad.matmul(hidden, self.params["mlp.out.weight"]),
-                        self.params["mlp.out.bias"])
-        return ad.reshape(logits, (cfg.num_labels,)) if squeeze else logits
+        return ad.add(ad.matmul(hidden, self.params["mlp.out.weight"]),
+                      self.params["mlp.out.bias"])
 
     def zero_grad(self):
         for p in self.params.values():

@@ -159,6 +159,24 @@ class ModelCheckpoint:
     metadata: dict[str, str] = field(default_factory=dict)
 
 
+def check_training_sets(train_ds: EncodedDataset, val_ds: EncodedDataset,
+                        num_labels: int) -> None:
+    """Raise DataError unless both sets are non-empty, share one label
+    registry of ``num_labels`` names, and the validation set holds a
+    positive label, without which its average precision is undefined."""
+    if len(train_ds) == 0 or len(val_ds) == 0:
+        raise DataError("training and validation sets must be non-empty")
+    if train_ds.label_names != val_ds.label_names:
+        raise DataError("train/validation label registries differ")
+    if len(train_ds.label_names) != num_labels:
+        raise DataError(
+            f"model expects {num_labels} labels, dataset has "
+            f"{len(train_ds.label_names)}")
+    if not val_ds.labels.any():
+        raise DataError(f"the {len(val_ds)} validation records carry no "
+                        f"positive label, so average precision is undefined")
+
+
 def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
           cfg: TrainConfig,
           monitor_fn: Optional[Callable[[TcnModel, EncodedDataset], float]] = None,
@@ -169,14 +187,7 @@ def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
     then scores the monitored validation metric; training stops once the
     metric has not improved for ``cfg.patience`` epochs.
     """
-    if len(train_ds) == 0 or len(val_ds) == 0:
-        raise DataError("training and validation sets must be non-empty")
-    if train_ds.label_names != val_ds.label_names:
-        raise DataError("train/validation label registries differ")
-    if len(train_ds.label_names) != model.config.num_labels:
-        raise DataError(
-            f"model expects {model.config.num_labels} labels, dataset has "
-            f"{len(train_ds.label_names)}")
+    check_training_sets(train_ds, val_ds, model.config.num_labels)
 
     rng = np.random.default_rng(cfg.seed)
     inputs = train_ds.onehot()

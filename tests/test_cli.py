@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 
 import tcnbind
 from tcnbind import cli
-from tcnbind.data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from tcnbind.data import (EncodedDataset, SyntheticSpec, generate_synthetic,
+                          load_dataset, save_dataset)
 from tcnbind.model import TcnModel, format_field
 from tcnbind.training import ModelCheckpoint, load_checkpoint, save_checkpoint
 
@@ -198,6 +199,17 @@ def bad_inputs(tmp_path_factory):
                          label_motifs={"TF0": "CACGTG", "TF1": "TGACTCA"})
     save_dataset(generate_synthetic(spec, np.random.default_rng(0)),
                  root / "ds.tsv")
+    negatives = SyntheticSpec(num_samples=12, length=32,
+                              label_motifs={"TF0": "CACGTG"},
+                              marginals={"TF0": 0.0})
+    save_dataset(generate_synthetic(negatives, np.random.default_rng(0)),
+                 root / "negatives.tsv")
+    save_dataset(EncodedDataset(["TF0", "TF1"], [], np.zeros((0, 2))),
+                 root / "empty.tsv")
+    one_label = tiny_config(num_labels=1)
+    model = TcnModel.initialize(one_label, np.random.default_rng(1))
+    save_checkpoint(ModelCheckpoint(one_label, ["TF0"], model.parameter_arrays()),
+                    root / "m1.ckpt")
     config = tiny_config(num_labels=2)
     model = TcnModel.initialize(config, np.random.default_rng(1))
     ckpt = ModelCheckpoint(config, ["TF0", "TF1"], model.parameter_arrays())
@@ -287,6 +299,18 @@ EXIT_CASES = {
                                    "--out", "{out}"]),
     "comma_in_label_name": (2, ["synth", "--n", "4", "--length", "10",
                                 "--motif", "A,B=ACGT", "--out", "{out}"]),
+    "validation_without_positives": (2, ["train", "--dataset",
+                                         "{root}/negatives.tsv",
+                                         "--out", "{out}"]),
+    "evaluate_without_positives": (2, ["evaluate", "--dataset",
+                                       "{root}/negatives.tsv", "--model",
+                                       "{root}/m1.ckpt", "--out", "{out}"]),
+    "evaluate_without_records": (2, ["evaluate", "--dataset",
+                                     "{root}/empty.tsv", "--model",
+                                     "{root}/m.ckpt", "--out", "{out}"]),
+    "seqlet_window_over_length": (2, ["motifs", "--dataset", "{root}/ds.tsv",
+                                      "--model", "{root}/m.ckpt", "--window",
+                                      "40", "--out", "{out}"]),
 }
 
 # the file each failure message must name

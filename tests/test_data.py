@@ -300,13 +300,13 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(spec, np.random.default_rng(3))
         assert 0 < ds.labels.sum() < 200
 
-    def test_planted_positions_recorded(self):
+    def test_positives_carry_the_motif(self):
         spec = SyntheticSpec(20, 40, {"M": "CACGTG"})
         ds = generate_synthetic(spec, np.random.default_rng(4))
-        for seq, y, plants in zip(ds.sequences, ds.labels, ds.planted):
+        assert ds.labels.any()
+        for seq, y in zip(ds.sequences, ds.labels):
             if y[0]:
-                (name, pos, width), = plants
-                assert seq[pos:pos + width] == "CACGTG"
+                assert "CACGTG" in seq
 
 
 class TestSplitDataset:

@@ -31,24 +31,30 @@ class TestConv1dCausal:
     def test_identity_filter(self):
         p = Conv1dParams(Tensor(np.ones((1, 1, 1), dtype=np.float32)),
                          Tensor(np.zeros(1, dtype=np.float32)), dilation=1)
-        x = np.random.default_rng(0).uniform(-1, 1, (10, 1)).astype(np.float32)
+        x = np.random.default_rng(0).uniform(-1, 1, (1, 10, 1)).astype(np.float32)
         np.testing.assert_array_equal(conv1d_causal(Tensor(x), p).data, x)
 
     def test_channel_mismatch(self):
         p = conv_params(1, out_ch=2, in_ch=3, k=2)
         with pytest.raises(ValueError):
-            conv1d_causal(Tensor(np.zeros((5, 4), dtype=np.float32)), p)
+            conv1d_causal(Tensor(np.zeros((1, 5, 4), dtype=np.float32)), p)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5,), (1, 1, 5, 3)])
+    def test_only_batched_input_accepted(self, shape):
+        p = conv_params(1, out_ch=2, in_ch=3, k=2)
+        with pytest.raises(ValueError, match=r"\[B, L, 3\]"):
+            conv1d_causal(Tensor(np.zeros(shape, dtype=np.float32)), p)
 
     def test_length_preserved_across_dilations(self):
         for d in (1, 2, 4, 8):
             p = conv_params(d, out_ch=3, in_ch=2, k=4, dilation=d)
-            out = conv1d_causal(Tensor(np.zeros((19, 2), dtype=np.float32)), p)
-            assert out.shape == (19, 3)
+            out = conv1d_causal(Tensor(np.zeros((1, 19, 2), dtype=np.float32)), p)
+            assert out.shape == (1, 19, 3)
 
     def test_acgt_hand_case_matches_oracle(self):
         x = one_hot("ACGT")
         p = conv_params(2, out_ch=2, in_ch=4, k=2, dilation=2)
-        got = conv1d_causal(Tensor(x), p).data
+        got = conv1d_causal(Tensor(x[None]), p).data[0]
         want = naive_causal_conv(x, p.weights.data, p.bias.data, 2)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -61,7 +67,7 @@ class TestConv1dCausal:
         k = int(rng.integers(1, 6))
         x = rng.uniform(-0.5, 0.5, (length, in_ch)).astype(np.float32)
         p = conv_params(seed + 100, out_ch, in_ch, k, dilation=1)
-        got = conv1d_causal(Tensor(x), p).data
+        got = conv1d_causal(Tensor(x[None]), p).data[0]
         want = naive_causal_conv(x, p.weights.data, p.bias.data, 1)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -70,7 +76,7 @@ class TestConv1dCausal:
         rng = np.random.default_rng(dilation)
         x = rng.uniform(-0.5, 0.5, (17, 3)).astype(np.float32)
         p = conv_params(dilation + 50, out_ch=2, in_ch=3, k=3, dilation=dilation)
-        got = conv1d_causal(Tensor(x), p).data
+        got = conv1d_causal(Tensor(x[None]), p).data[0]
         want = naive_causal_conv(x, p.weights.data, p.bias.data, dilation)
         np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -80,17 +86,17 @@ class TestConv1dCausal:
         p = conv_params(10, out_ch=5, in_ch=3, k=3, dilation=2)
         batched = conv1d_causal(Tensor(x), p).data
         for i in range(4):
-            single = conv1d_causal(Tensor(x[i]), p).data
-            np.testing.assert_array_equal(batched[i], single)
+            single = conv1d_causal(Tensor(x[i:i + 1]), p).data
+            np.testing.assert_array_equal(batched[i:i + 1], single)
 
     def test_gradients_match_finite_differences(self):
         p = conv_params(11, out_ch=3, in_ch=2, k=3, dilation=2)
-        x = Tensor(np.random.default_rng(12).uniform(-1, 1, (8, 2)).astype(np.float32))
+        x = Tensor(np.random.default_rng(12).uniform(-1, 1, (1, 8, 2)).astype(np.float32))
 
         err_x = ad.finite_difference_check(
             lambda t: ad.reduce_sum(ad.mul(conv1d_causal(t, p),
                                            Tensor(np.random.default_rng(13)
-                                                  .uniform(-1, 1, (8, 3))
+                                                  .uniform(-1, 1, (1, 8, 3))
                                                   .astype(np.float32)))),
             x, eps=1e-3)
         assert err_x < 1e-3
@@ -118,7 +124,7 @@ class TestConv1dCausal:
         valid = [sum(w[0, 0, i] * padded[t + (k - 1 - i) * d, 0] for i in range(k))
                  for t in range(length)]
         p = Conv1dParams(Tensor(w), Tensor(np.zeros(1, dtype=np.float32)), d)
-        np.testing.assert_allclose(conv1d_causal(Tensor(x), p).data[:, 0],
+        np.testing.assert_allclose(conv1d_causal(Tensor(x[None]), p).data[0, :, 0],
                                    valid, atol=1e-5)
 
 
@@ -128,7 +134,7 @@ class TestTcnBlock:
             Tensor(np.zeros((o, i, k), dtype=np.float32)),
             Tensor(np.zeros(o, dtype=np.float32)), d)
         block = TcnBlockParams(zero(3, 3, 2, 1), zero(3, 3, 2, 1), None, 0.0)
-        x = np.random.default_rng(16).uniform(-1, 1, (9, 3)).astype(np.float32)
+        x = np.random.default_rng(16).uniform(-1, 1, (1, 9, 3)).astype(np.float32)
         np.testing.assert_array_equal(tcn_block(Tensor(x), block).data,
                                       np.maximum(x, 0))
 
@@ -140,7 +146,8 @@ class TestTcnBlock:
         block = TcnBlockParams(zero(5, 3, 2), zero(5, 5, 2), proj, 0.0)
         x = np.random.default_rng(18).uniform(-1, 1, (7, 3)).astype(np.float32)
         want = np.maximum(naive_causal_conv(x, proj.weights.data, proj.bias.data, 1), 0)
-        np.testing.assert_allclose(tcn_block(Tensor(x), block).data, want, atol=1e-6)
+        np.testing.assert_allclose(tcn_block(Tensor(x[None]), block).data[0], want,
+                                   atol=1e-6)
 
     def test_block_output_causal(self):
         block = TcnBlockParams(conv_params(19, 4, 4, 3, dilation=2),
@@ -148,10 +155,10 @@ class TestTcnBlock:
         rng = np.random.default_rng(21)
         x = rng.uniform(-1, 1, (16, 4)).astype(np.float32)
         t = 6
-        out_a = tcn_block(Tensor(x), block).data
+        out_a = tcn_block(Tensor(x[None]), block).data[0]
         mutated = x.copy()
         mutated[t + 1:] = rng.uniform(-1, 1, (16 - t - 1, 4)).astype(np.float32)
-        out_b = tcn_block(Tensor(mutated), block).data
+        out_b = tcn_block(Tensor(mutated[None]), block).data[0]
         np.testing.assert_array_equal(out_a[:t + 1], out_b[:t + 1])
 
 
@@ -159,8 +166,8 @@ class TestModelForward:
     def test_four_label_logit_shape(self):
         cfg = tiny_config(num_labels=4)
         model = TcnModel.initialize(cfg, np.random.default_rng(0))
-        out = model.forward(Tensor(one_hot("ACGT" * 8)))
-        assert out.shape == (4,)
+        out = model.forward(Tensor(one_hot("ACGT" * 8)[None]))
+        assert out.shape == (1, 4)
 
     def test_binary_101bp_shape(self):
         cfg = ModelConfig(input_length=101, num_labels=1, cnn_layers=1,
@@ -168,12 +175,12 @@ class TestModelForward:
                           kernel_size=5, mlp_hidden=16, dropout=0.0)
         model = TcnModel.initialize(cfg, np.random.default_rng(1))
         seq = "".join("ACGT"[i % 4] for i in range(101))
-        assert model.forward(Tensor(one_hot(seq))).shape == (1,)
+        assert model.forward(Tensor(one_hot(seq)[None])).shape == (1, 1)
 
     def test_seeded_dropout_is_deterministic(self):
         cfg = tiny_config(dropout=0.5)
         model = TcnModel.initialize(cfg, np.random.default_rng(2))
-        x = Tensor(np.random.default_rng(3).uniform(0, 1, (32, 4)).astype(np.float32))
+        x = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 32, 4)).astype(np.float32))
         a = model.forward(x, training=True, rng=np.random.default_rng(42)).data
         b = model.forward(x, training=True, rng=np.random.default_rng(42)).data
         assert a.tobytes() == b.tobytes()
@@ -181,23 +188,28 @@ class TestModelForward:
     def test_training_dropout_changes_output(self):
         cfg = tiny_config(dropout=0.5)
         model = TcnModel.initialize(cfg, np.random.default_rng(2))
-        x = Tensor(np.random.default_rng(3).uniform(0, 1, (32, 4)).astype(np.float32))
+        x = Tensor(np.random.default_rng(3).uniform(0, 1, (1, 32, 4)).astype(np.float32))
         eval_out = model.forward(x).data
         train_out = model.forward(x, training=True, rng=np.random.default_rng(7)).data
         assert not np.array_equal(eval_out, train_out)
 
     def test_wrong_length_rejected(self, tiny_model):
         with pytest.raises(ValueError):
-            tiny_model.forward(Tensor(np.zeros((31, 4), dtype=np.float32)))
+            tiny_model.forward(Tensor(np.zeros((1, 31, 4), dtype=np.float32)))
+
+    @pytest.mark.parametrize("shape", [(32, 4), (1, 1, 32, 4)])
+    def test_only_batched_input_accepted(self, tiny_model, shape):
+        with pytest.raises(ValueError, match=r"\[B, 32, 4\]"):
+            tiny_model.forward(Tensor(np.zeros(shape, dtype=np.float32)))
 
     def test_causality_of_full_model(self, tiny_model):
         rng = np.random.default_rng(4)
-        x = rng.uniform(0, 1, (32, 4)).astype(np.float32)
+        x = rng.uniform(0, 1, (1, 32, 4)).astype(np.float32)
         for t in (3, 15, 30):
             cap_a: dict = {}
             tiny_model.forward(Tensor(x), capture=cap_a)
             mutated = x.copy()
-            mutated[t + 1:] = rng.uniform(0, 1, (31 - t, 4)).astype(np.float32)
+            mutated[:, t + 1:] = rng.uniform(0, 1, (1, 31 - t, 4)).astype(np.float32)
             cap_b: dict = {}
             tiny_model.forward(Tensor(mutated), capture=cap_b)
             for key, value in cap_a.items():

@@ -224,7 +224,7 @@ class TestCheckpoints:
         model, ckpt = self.make_checkpoint()
         path = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, path)
-        probe = Tensor(np.random.default_rng(22).uniform(0, 1, (32, 4))
+        probe = Tensor(np.random.default_rng(22).uniform(0, 1, (1, 32, 4))
                        .astype(np.float32))
         with ad.no_grad():
             want = model.forward(probe).data
