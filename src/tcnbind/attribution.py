@@ -73,7 +73,11 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
     Per baseline x', attribution_i = (x_i - x'_i) * mean over step midpoints
     of d logit / d x_i along the straight path; the returned map averages
     the baselines and records |sum(map) - mean(F(x) - F(x'))| as the
-    completeness gap. Dropout stays off throughout.
+    completeness gap. F(x) and every F(x'_b) come from one no-grad forward
+    of 1 + len(baselines) rows; each baseline's path is one forward and
+    backward of ``steps`` rows, which differentiates the input only (the
+    model's parameters are left out of the backward unless they require
+    gradients). Dropout stays off throughout.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -86,14 +90,17 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
     target = np.asarray(x, dtype=np.float64)
     if target.ndim != 2:
         raise ValueError("attribution input must be a single [L, 4] array")
+    bases = [np.asarray(baseline, dtype=np.float64) for baseline in baselines]
+    if any(base.shape != target.shape for base in bases):
+        raise ValueError("baseline shape does not match the input")
+
+    with ad.no_grad():
+        ends = model.forward(Tensor(np.stack([target, *bases]).astype(np.float32)))
+    deltas = ends.data[0, label_index] - ends.data[1:, label_index]
 
     alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
     per_baseline_maps = []
-    deltas = []
-    for baseline in baselines:
-        base = np.asarray(baseline, dtype=np.float64)
-        if base.shape != target.shape:
-            raise ValueError("baseline shape does not match the input")
+    for base in bases:
         diff = target - base
         points = base[None] + alphas[:, None, None] * diff[None]
         probe = Tensor(points.astype(np.float32), requires_grad=True)
@@ -102,12 +109,8 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
         mean_grad = probe.grad.astype(np.float64).mean(axis=0)
         per_baseline_maps.append(diff * mean_grad)
 
-        with ad.no_grad():
-            pair = model.forward(Tensor(np.stack([target, base]).astype(np.float32)))
-        deltas.append(float(pair.data[0, label_index] - pair.data[1, label_index]))
-
     scores = np.mean(per_baseline_maps, axis=0)
-    gap = abs(float(scores.sum()) - float(np.mean(deltas)))
+    gap = abs(float(scores.sum()) - float(np.mean(deltas, dtype=np.float64)))
     return AttributionMap(
         label=label_name if label_name is not None else str(label_index),
         scores=scores, baseline_count=len(baselines), steps=steps,

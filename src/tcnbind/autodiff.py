@@ -7,6 +7,10 @@ elsewhere (the convolution and the loss), the backward pass and a
 finite-difference gradient checker. Tensors are immutable after construction
 except for gradient accumulation; the graph linking them is freed as soon as
 ``backward`` has replayed it.
+
+A recorded op's ``backward_fn(g)`` returns one gradient per parent, and
+``None`` for a parent that needs no gradient (``needs_grad`` false when the
+op was recorded): a frozen weight or a constant dropout mask costs no work.
 """
 
 from __future__ import annotations
@@ -101,6 +105,12 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def needs_grad(t: Tensor) -> bool:
+    """Whether an op recorded now must produce a gradient for ``t``: grad
+    mode is on and ``t`` requires one, the rule ``_record`` applies."""
+    return t.requires_grad and _grad_enabled.get()
+
+
 def _record(data: Array, op: str, parents: tuple[Tensor, ...],
             backward_fn: Callable[[Array], tuple[Optional[Array], ...]]) -> Tensor:
     requires = _grad_enabled.get() and any(p.requires_grad for p in parents)
@@ -125,19 +135,22 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
+    need_a, need_b = needs_grad(a), needs_grad(b)
 
     def backward_fn(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     return _record(data, "add", (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
+    need_a, need_b = needs_grad(a), needs_grad(b)
 
     def backward_fn(g: Array):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return (_unbroadcast(g * b.data, a.shape) if need_a else None,
+                _unbroadcast(g * a.data, b.shape) if need_b else None)
 
     return _record(data, "mul", (a, b), backward_fn)
 
@@ -148,9 +161,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner extents differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    need_a, need_b = needs_grad(a), needs_grad(b)
 
     def backward_fn(g: Array):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if need_a else None,
+                a.data.T @ g if need_b else None)
 
     return _record(data, "matmul", (a, b), backward_fn)
 

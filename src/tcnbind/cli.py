@@ -7,8 +7,10 @@ Exit codes; every failure ends with a one-line message on stderr:
      or a --config/--set key or value that the configuration rejects;
   2  data error: an input file that is missing, unreadable, not ASCII text
      (checkpoints: not UTF-8) or malformed, inputs that disagree with each
-     other, data a step cannot use (a training or evaluation set with no
-     positive label, a motif window longer than the sequences), or an
+     other (label registries, or sequence lengths: a dataset against its
+     checkpoint, a validation set against the training set), data a step
+     cannot use (an empty training set, a training or evaluation set with
+     no positive label, a motif window longer than the sequences), or an
      output path that cannot be written;
   3  numerical abort: the training loss became non-finite.
 """
@@ -234,8 +236,9 @@ def cmd_train(args) -> int:
         resolved["seed"] = args.seed
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
+    # data errors first: an empty set has no input_length to derive
+    trn.check_training_sets(train_ds, val_ds, train_ds.num_labels)
     model_cfg, train_cfg = _split_configs(resolved, train_ds)
-    trn.check_training_sets(train_ds, val_ds, model_cfg.num_labels)
     resolved = {**asdict(model_cfg), **asdict(train_cfg)}
     header = _provenance(resolved, train_cfg.seed)
 
@@ -263,7 +266,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = dat.load_dataset(args.dataset)
     ckpt = trn.load_checkpoint(args.model)
-    trn.ensure_labels_match(ckpt, ds)
+    trn.ensure_dataset_fits(ckpt, ds)
     model = trn.build_model(ckpt)
     scores = trn.predict_scores(model, ds.onehot())
     report = met.metrics_report(scores, ds.labels, ds.label_names,
@@ -290,7 +293,7 @@ def _attribution_targets(args, label_names: list[str]) -> list[int]:
 def cmd_attribute(args) -> int:
     ds = dat.load_dataset(args.dataset)
     ckpt = trn.load_checkpoint(args.model)
-    trn.ensure_labels_match(ckpt, ds)
+    trn.ensure_dataset_fits(ckpt, ds)
     model = trn.build_model(ckpt)
     targets = _attribution_targets(args, ds.label_names)
     count = min(args.max_samples, len(ds))
@@ -307,7 +310,7 @@ def cmd_attribute(args) -> int:
 def cmd_motifs(args) -> int:
     ds = dat.load_dataset(args.dataset)
     ckpt = trn.load_checkpoint(args.model)
-    trn.ensure_labels_match(ckpt, ds)
+    trn.ensure_dataset_fits(ckpt, ds)
     model = trn.build_model(ckpt)
     targets = _attribution_targets(args, ds.label_names)
 

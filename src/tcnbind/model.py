@@ -120,15 +120,30 @@ def receptive_field(config: ModelConfig) -> int:
     return 1 + cnn_span + tcn_span
 
 
-# Above this many im2col elements the materialized buffer thrashes memory,
-# so wide kernels fall back to a per-tap batched-GEMM accumulation.
+# The im2col kernel materializes a [B*L, k*C_in] window buffer; above this
+# many elements that buffer thrashes memory (and costs RSS), so larger convs
+# take the tap loop. Only a conv whose input needs no gradient, and whose
+# buffer fits, runs im2col: its input gradient (one dcols GEMM, then a
+# scatter of k taps) is slower than the tap loop's per-tap dx, 1.7 ms
+# against 0.5 ms at B=25, L=200, C=16, k=8 with one BLAS thread, and 7.3
+# against 0.7 ms with two, where its [B*L]-row GEMM starts OpenBLAS's
+# threads (min of 15; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31). Its dW
+# alone is within noise of the tap loop's: 14-17 against 15-18 ms at B=64,
+# L=1000, C_in=4, k=32.
 _IM2COL_ELEMENT_LIMIT = 4_000_000
 
 
 def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     """y[b, t, o] = bias[o] + sum_{c,i} W[o,c,i] * x[b, t - d*i, c], zeros off the left edge.
 
-    Takes [B, L, C_in] to [B, L, C_out].
+    Takes [B, L, C_in] to [B, L, C_out]. The kernel is picked by the
+    gradients the op must produce (``ad.needs_grad``, judged now): a conv
+    whose input needs a gradient takes ``_conv_taploop``, whose per-tap dx
+    is 3-10x faster than im2col's; one whose input needs none (no-grad
+    scoring, the first layer in training) takes ``_conv_im2col`` while its
+    window buffer stays within ``_IM2COL_ELEMENT_LIMIT`` elements, and the
+    tap loop beyond. The backward returns ``None`` for each of x, W and b
+    that needs no gradient, so a frozen model's backward computes dx only.
     """
     _, in_ch, k = p.weights.shape
     d = p.dilation
@@ -140,18 +155,21 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     pad = (k - 1) * d
     xpad = np.pad(x.data, ((0, 0), (pad, 0), (0, 0)))
 
-    if nb * length * k * in_ch <= _IM2COL_ELEMENT_LIMIT:
-        y, backward_fn = _conv_im2col(xpad, p, nb, length)
+    need_dx = ad.needs_grad(x)
+    if need_dx or nb * length * k * in_ch > _IM2COL_ELEMENT_LIMIT:
+        y, backward_fn = _conv_taploop(xpad, p, nb, length, need_dx)
     else:
-        y, backward_fn = _conv_taploop(xpad, p, nb, length)
+        y, backward_fn = _conv_im2col(xpad, p, nb, length)
     return ad.make_op(y, "conv1d_causal", (x, p.weights, p.bias), backward_fn)
 
 
 def _conv_im2col(xpad, p, nb, length):
-    """Materialize sliding windows once and run a single GEMM each way."""
+    """Materialize sliding windows once: one GEMM forward, one for dW.
+
+    For an input that needs no gradient: the backward returns no dx.
+    """
     out_ch, in_ch, k = p.weights.shape
     d = p.dilation
-    pad = (k - 1) * d
     sb, st, sc = xpad.strides
     cols = np.lib.stride_tricks.as_strided(
         xpad, (nb, length, k, in_ch), (sb, st, d * st, sc))
@@ -159,24 +177,28 @@ def _conv_im2col(xpad, p, nb, length):
     # wr[(j, c), o] = W[o, c, k-1-j] realigns taps so cols2 @ wr is causal
     wr = p.weights.data[:, :, ::-1].transpose(2, 1, 0).reshape(k * in_ch, out_ch)
     y = (cols2 @ wr + p.bias.data).reshape(nb, length, out_ch)
+    need_db = ad.needs_grad(p.bias)
+    cols2 = cols2 if ad.needs_grad(p.weights) else None  # kept for dW only
 
     def backward_fn(gd: np.ndarray):
         g2 = np.ascontiguousarray(gd).reshape(nb * length, out_ch)
-        dwr = cols2.T @ g2
-        dw = np.ascontiguousarray(
-            dwr.reshape(k, in_ch, out_ch).transpose(2, 1, 0)[:, :, ::-1])
-        db = g2.sum(axis=0, dtype=np.float64).astype(np.float32)
-        dcols = (g2 @ wr.T).reshape(nb, length, k, in_ch)
-        dxpad = np.zeros_like(xpad)
-        for j in range(k):
-            dxpad[:, j * d:j * d + length, :] += dcols[:, :, j, :]
-        return dxpad[:, pad:, :], dw, db
+        dw = db = None
+        if cols2 is not None:
+            dwr = cols2.T @ g2
+            dw = np.ascontiguousarray(
+                dwr.reshape(k, in_ch, out_ch).transpose(2, 1, 0)[:, :, ::-1])
+        if need_db:
+            db = g2.sum(axis=0, dtype=np.float64).astype(np.float32)
+        return None, dw, db
 
     return y, backward_fn
 
 
-def _conv_taploop(xpad, p, nb, length):
-    """One batched GEMM per kernel tap; never builds the im2col buffer."""
+def _conv_taploop(xpad, p, nb, length, need_dx):
+    """One batched GEMM per kernel tap; never builds the im2col buffer.
+
+    The backward computes dx only when ``need_dx``.
+    """
     out_ch, in_ch, k = p.weights.shape
     d = p.dilation
     pad = (k - 1) * d
@@ -187,18 +209,27 @@ def _conv_taploop(xpad, p, nb, length):
     y[:] = p.bias.data
     for j in range(k):
         y += np.matmul(xpad[:, j * d:j * d + length, :], taps[j])
+    need_db = ad.needs_grad(p.bias)
+    padded_shape = xpad.shape
+    saved = xpad if ad.needs_grad(p.weights) else None  # kept for dW only
 
     def backward_fn(gd: np.ndarray):
         gd = np.ascontiguousarray(gd)
-        gdt = gd.transpose(0, 2, 1)
-        dw = np.empty_like(p.weights.data)
-        dxpad = np.zeros_like(xpad)
-        for j in range(k):
-            xslice = xpad[:, j * d:j * d + length, :]
-            dw[:, :, k - 1 - j] = np.matmul(gdt, xslice).sum(axis=0)
-            dxpad[:, j * d:j * d + length, :] += np.matmul(gd, taps[j].T)
-        db = gd.sum(axis=(0, 1), dtype=np.float64).astype(np.float32)
-        return dxpad[:, pad:, :], dw, db
+        dx = dw = db = None
+        if saved is not None:
+            gdt = gd.transpose(0, 2, 1)
+            dw = np.empty_like(p.weights.data)
+            for j in range(k):
+                xslice = saved[:, j * d:j * d + length, :]
+                dw[:, :, k - 1 - j] = np.matmul(gdt, xslice).sum(axis=0)
+        if need_dx:
+            dxpad = np.zeros(padded_shape, dtype=np.float32)
+            for j in range(k):
+                dxpad[:, j * d:j * d + length, :] += np.matmul(gd, taps[j].T)
+            dx = dxpad[:, pad:, :]
+        if need_db:
+            db = gd.sum(axis=(0, 1), dtype=np.float64).astype(np.float32)
+        return dx, dw, db
 
     return y, backward_fn
 

@@ -162,12 +162,17 @@ class ModelCheckpoint:
 def check_training_sets(train_ds: EncodedDataset, val_ds: EncodedDataset,
                         num_labels: int) -> None:
     """Raise DataError unless both sets are non-empty, share one label
-    registry of ``num_labels`` names, and the validation set holds a
-    positive label, without which its average precision is undefined."""
+    registry of ``num_labels`` names and one sequence length, and the
+    validation set holds a positive label, without which its average
+    precision is undefined."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise DataError("training and validation sets must be non-empty")
     if train_ds.label_names != val_ds.label_names:
         raise DataError("train/validation label registries differ")
+    if train_ds.sequence_length != val_ds.sequence_length:
+        raise DataError(
+            f"validation sequences are {val_ds.sequence_length} bases long, "
+            f"training sequences {train_ds.sequence_length}")
     if len(train_ds.label_names) != num_labels:
         raise DataError(
             f"model expects {num_labels} labels, dataset has "
@@ -248,11 +253,17 @@ def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
                             best_params, metadata), history)
 
 
-def ensure_labels_match(ckpt: ModelCheckpoint, ds: EncodedDataset) -> None:
+def ensure_dataset_fits(ckpt: ModelCheckpoint, ds: EncodedDataset) -> None:
+    """Raise DataError unless ``ds`` carries the checkpoint's label registry
+    and, when it holds records, the sequence length its model reads."""
     if ckpt.label_names != ds.label_names:
         raise DataError(
             f"checkpoint labels {ckpt.label_names} do not match dataset "
             f"labels {ds.label_names}")
+    if len(ds) and ds.sequence_length != ckpt.config.input_length:
+        raise DataError(
+            f"dataset sequences are {ds.sequence_length} bases long, the "
+            f"checkpoint's model reads {ckpt.config.input_length}")
 
 
 def build_model(ckpt: ModelCheckpoint) -> TcnModel:

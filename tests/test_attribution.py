@@ -37,6 +37,34 @@ class TestIntegratedGradients:
         integrated_gradients(model, x, 1, baselines, steps=4)
         assert all(p.grad is None for p in model.params.values())
 
+    def test_frozen_model_backward_computes_no_parameter_gradient(
+            self, monkeypatch):
+        trained = TcnModel.initialize(tiny_config(cnn_kernels=4),
+                                      np.random.default_rng(6))
+        model = build_model(ModelCheckpoint(trained.config, ["A", "B", "C"],
+                                            trained.parameter_arrays()))
+        params = {id(p) for p in model.params.values()}
+        returned = []  # (op, is a parameter, gradient) per parent
+        record = ad._record
+
+        def spying(data, op, parents, backward_fn):
+            def spied(g):
+                grads = backward_fn(g)
+                returned.extend((op, id(p) in params, grad)
+                                for p, grad in zip(parents, grads))
+                return grads
+            return record(data, op, parents, spied)
+
+        monkeypatch.setattr(ad, "_record", spying)
+        seq = "ACGT" * 8
+        integrated_gradients(model, one_hot(seq), 1, make_shuffled_baselines(
+            seq, 2, np.random.default_rng(7)), steps=4)
+        assert {op for op, _, _ in returned} >= {"conv1d_causal", "matmul", "add"}
+        assert any(is_param for _, is_param, _ in returned)
+        assert all(grad is None for _, is_param, grad in returned if is_param)
+        assert all(grad is not None for op, is_param, grad in returned
+                   if op == "conv1d_causal" and not is_param)
+
     def test_linear_model_closed_form(self):
         out = integrated_gradients(self.probe, self.x, 0, [self.baseline], steps=7)
         expected = (self.x - self.baseline) * self.w.astype(np.float32)

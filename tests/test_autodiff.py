@@ -153,6 +153,36 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [4.0])
 
 
+class TestGradientNeeds:
+    """An op's backward returns None for a parent that needed no gradient
+    when the op was recorded, and the same gradient as before otherwise."""
+
+    def test_mul_by_constant_mask_skips_the_mask(self):
+        x = Tensor(rand((3, 4), 1), requires_grad=True)
+        mask = Tensor(rand((3, 4), 2))  # a dropout mask needs no gradient
+        g = rand((3, 4), 3)
+        grads = ad.mul(x, mask).node.backward_fn(g)
+        assert grads[1] is None
+        np.testing.assert_array_equal(grads[0], g * mask.data)
+
+    def test_add_and_matmul_skip_frozen_operands(self):
+        x = Tensor(rand((2, 3), 4), requires_grad=True)
+        w, b = Tensor(rand((3, 5), 5)), Tensor(rand((5,), 6))
+        g = rand((2, 5), 7)
+        assert ad.add(ad.matmul(x, w), b).node.backward_fn(g)[1] is None
+        dx, dw = ad.matmul(x, w).node.backward_fn(g)
+        assert dw is None
+        np.testing.assert_array_equal(dx, g @ w.data.T)
+        da, db = ad.add(b, x[:, :1]).node.backward_fn(g)
+        assert da is None and db.shape == (2, 1)
+
+    def test_needs_grad_follows_grad_mode(self):
+        x = Tensor([1.0], requires_grad=True)
+        assert ad.needs_grad(x) and not ad.needs_grad(Tensor([1.0]))
+        with ad.no_grad():
+            assert not ad.needs_grad(x)
+
+
 class TestGradientCorrectness:
     """Finite-difference oracle (central, eps 1e-3) per operation kind on
     seed-fixed tensors of at most 64 elements."""

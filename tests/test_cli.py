@@ -206,6 +206,10 @@ def bad_inputs(tmp_path_factory):
                  root / "negatives.tsv")
     save_dataset(EncodedDataset(["TF0", "TF1"], [], np.zeros((0, 2))),
                  root / "empty.tsv")
+    longer = SyntheticSpec(num_samples=12, length=48,
+                           label_motifs={"TF0": "CACGTG", "TF1": "TGACTCA"})
+    save_dataset(generate_synthetic(longer, np.random.default_rng(0)),
+                 root / "long.tsv")
     one_label = tiny_config(num_labels=1)
     model = TcnModel.initialize(one_label, np.random.default_rng(1))
     save_checkpoint(ModelCheckpoint(one_label, ["TF0"], model.parameter_arrays()),
@@ -311,6 +315,20 @@ EXIT_CASES = {
     "seqlet_window_over_length": (2, ["motifs", "--dataset", "{root}/ds.tsv",
                                       "--model", "{root}/m.ckpt", "--window",
                                       "40", "--out", "{out}"]),
+    "evaluate_length_mismatch": (2, ["evaluate", "--dataset",
+                                     "{root}/long.tsv", "--model",
+                                     "{root}/m.ckpt", "--out", "{out}"]),
+    "attribute_length_mismatch": (2, ["attribute", "--dataset",
+                                      "{root}/long.tsv", "--model",
+                                      "{root}/m.ckpt", "--out", "{out}"]),
+    "motifs_length_mismatch": (2, ["motifs", "--dataset", "{root}/long.tsv",
+                                   "--model", "{root}/m.ckpt",
+                                   "--out", "{out}"]),
+    "validation_length_mismatch": (2, ["train", "--dataset", "{root}/ds.tsv",
+                                       "--val", "{root}/long.tsv",
+                                       "--out", "{out}"]),
+    "empty_training_set": (2, ["train", "--dataset", "{root}/empty.tsv",
+                               "--out", "{out}"]),
 }
 
 # the file each failure message must name
@@ -333,6 +351,14 @@ def test_bad_input_exit_code_and_one_line_message(case, bad_inputs, tmp_path):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert NAMED_PATHS.get(case, "") in proc.stderr
+
+
+def test_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "tcnbind", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: tcnbind" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

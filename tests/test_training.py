@@ -14,7 +14,7 @@ from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, split_dat
 from tcnbind.model import TcnModel
 from tcnbind.training import (AdamState, ModelCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, bce_multilabel_loss,
-                              build_model, ensure_labels_match, load_checkpoint,
+                              build_model, ensure_dataset_fits, load_checkpoint,
                               lr_schedule, predict_scores, save_checkpoint, train)
 
 
@@ -263,7 +263,7 @@ class TestCheckpoints:
         five = overfit_dataset(n=16)
         five.label_names = ["A", "B", "C", "D", "E"]  # simulate k=5 dataset
         with pytest.raises(DataError):
-            ensure_labels_match(ckpt, five)
+            ensure_dataset_fits(ckpt, five)
 
     def test_predict_scores_in_unit_interval(self):
         model = small_model(seed=23)
