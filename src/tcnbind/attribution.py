@@ -355,14 +355,16 @@ def write_attribution_maps(maps: Iterable[AttributionMap], path,
                            header_lines: Iterable[str] = ()) -> None:
     """One block per map: '>sample_id label completeness_gap' then L rows of
     4 tab-separated reals. The sample id may contain spaces; the label and
-    the gap are the header's last two fields."""
+    the gap are the header's last two fields. Every real is the shortest
+    text that reads back to the same float64 (``repr``)."""
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         for m in maps:
-            fh.write(f">{m.sample_id or 'sample'} {m.label} {m.completeness_gap:.6g}\n")
+            fh.write(f">{m.sample_id or 'sample'} {m.label} "
+                     f"{float(m.completeness_gap)!r}\n")
             for row in m.scores:
-                fh.write("\t".join(f"{v:.6g}" for v in row) + "\n")
+                fh.write("\t".join(repr(float(v)) for v in row) + "\n")
 
 
 def read_attribution_maps(path) -> list[AttributionMap]:

@@ -51,26 +51,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count flag that must be at least 1."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
 
-def _open_unit_float(text: str) -> float:
-    """argparse type of a score threshold, which must lie in (0, 1)."""
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag that must be at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type of a seed; numpy's generators take no negative one."""
+    return _int_at_least(text, 0)
+
+
+def _unit_float(text: str, closed: bool = True) -> float:
+    """argparse type of a probability, which must lie in [0, 1], or with
+    ``closed`` false of a fraction or threshold, which must lie in (0, 1)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < 1.0:  # false for NaN too
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    # both comparisons are false for NaN
+    if not (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):
+        interval = "[0, 1]" if closed else "(0, 1)"
+        raise argparse.ArgumentTypeError(f"must lie in {interval}, got {text}")
     return value
+
+
+def _open_unit_float(text: str) -> float:
+    return _unit_float(text, closed=False)
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
@@ -144,9 +160,9 @@ def _split_spec(spec: str, flag: str, form: str) -> tuple[str, str]:
 
 def _probability(text: str, flag: str) -> float:
     try:
-        return float(text)
-    except ValueError:
-        raise UsageError(f"{flag}: bad probability {text!r}") from None
+        return _unit_float(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: bad probability: {exc}") from None
 
 
 def cmd_build_dataset(args) -> int:
@@ -348,8 +364,8 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", type=_positive_int, default=4)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--length", type=_positive_int, required=True)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_unit_float, default=0.0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--motif", action="append", metavar="NAME=CONSENSUS")
     p.add_argument("--marginal", action="append", metavar="NAME=P")
     p.add_argument("--co-occur", dest="co_occur", action="append",
@@ -359,10 +375,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="deterministic train/val/test partition")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--val-frac", type=float, default=0.2,
+    p.add_argument("--train-frac", type=_open_unit_float, default=0.8)
+    p.add_argument("--val-frac", type=_open_unit_float, default=0.2,
                    help="fraction of the train pool held out for validation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_split)
 
@@ -372,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a configuration key")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="optional per-epoch history file")
@@ -392,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=_positive_int, default=50)
     p.add_argument("--baselines", type=_positive_int, default=10)
     p.add_argument("--max-samples", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
@@ -406,7 +422,7 @@ def build_parser() -> _Parser:
     p.add_argument("--baselines", type=_positive_int, default=5)
     p.add_argument("--max-seqs", type=_positive_int, default=40)
     p.add_argument("--null-count", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_motifs)

@@ -10,9 +10,10 @@ The ``last`` readout needs block b only at the positions t = L-1 (mod 2^b),
 and a dilation-2^b causal convolution evaluated there is exactly a
 dilation-1 causal convolution over the subsequence of those positions: the
 à trous / space-to-batch identity (Yu & Koltun, arXiv:1511.07122; Paine et
-al., Fast WaveNet, arXiv:1611.09482). So that forward keeps every second
-position, ending at the last, before each block after the first and runs
-the block's convolutions at dilation 1 on L/2^b positions. The ``mean``
+al., Fast WaveNet, arXiv:1611.09482). So that forward runs block b's
+convolutions at dilation 1 on those ceil(L/2^b) positions, and its second
+convolution at stride 2: it emits only every second position, ending at
+the last, which is all the next block (or the readout) reads. The ``mean``
 readout and ``forward(capture=...)`` compute every position.
 """
 
@@ -99,6 +100,7 @@ class Conv1dParams:
     weights: Tensor  # [out_channels, in_channels, kernel_size]
     bias: Tensor     # [out_channels]
     dilation: int = 1
+    stride: int = 1  # emit only the positions t = L-1 (mod stride)
 
 
 @dataclass
@@ -120,7 +122,7 @@ def receptive_field(config: ModelConfig) -> int:
     return 1 + cnn_span + tcn_span
 
 
-# The im2col kernel materializes a [B*L, k*C_in] window buffer; above this
+# The im2col kernel materializes a [B*L_out, k*C_in] window buffer; above this
 # many elements that buffer thrashes memory (and costs RSS), so larger convs
 # take the tap loop. Only a conv whose input needs no gradient, and whose
 # buffer fits, runs im2col: its input gradient (one dcols GEMM, then a
@@ -136,7 +138,11 @@ _IM2COL_ELEMENT_LIMIT = 4_000_000
 def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     """y[b, t, o] = bias[o] + sum_{c,i} W[o,c,i] * x[b, t - d*i, c], zeros off the left edge.
 
-    Takes [B, L, C_in] to [B, L, C_out]. The kernel is picked by the
+    Takes [B, L, C_in] to [B, L, C_out]. A conv of stride s > 1 emits only
+    the ceil(L/s) positions t = L-1 (mod s), ending at the last, with the
+    values of the stride-1 output there: [B, ceil(L/s), C_out].
+
+    The kernel is picked by the
     gradients the op must produce (``ad.needs_grad``, judged now): a conv
     whose input needs a gradient takes ``_conv_taploop``, whose per-tap dx
     is 3-10x faster than im2col's; one whose input needs none (no-grad
@@ -156,7 +162,8 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     xpad = np.pad(x.data, ((0, 0), (pad, 0), (0, 0)))
 
     need_dx = ad.needs_grad(x)
-    if need_dx or nb * length * k * in_ch > _IM2COL_ELEMENT_LIMIT:
+    outputs = (length - 1) // p.stride + 1
+    if need_dx or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT:
         y, backward_fn = _conv_taploop(xpad, p, nb, length, need_dx)
     else:
         y, backward_fn = _conv_im2col(xpad, p, nb, length)
@@ -169,19 +176,21 @@ def _conv_im2col(xpad, p, nb, length):
     For an input that needs no gradient: the backward returns no dx.
     """
     out_ch, in_ch, k = p.weights.shape
-    d = p.dilation
+    d, s = p.dilation, p.stride
+    outputs = (length - 1) // s + 1
     sb, st, sc = xpad.strides
     cols = np.lib.stride_tricks.as_strided(
-        xpad, (nb, length, k, in_ch), (sb, st, d * st, sc))
-    cols2 = np.ascontiguousarray(cols).reshape(nb * length, k * in_ch)
+        xpad[:, (length - 1) % s:], (nb, outputs, k, in_ch),
+        (sb, s * st, d * st, sc))
+    cols2 = np.ascontiguousarray(cols).reshape(nb * outputs, k * in_ch)
     # wr[(j, c), o] = W[o, c, k-1-j] realigns taps so cols2 @ wr is causal
     wr = p.weights.data[:, :, ::-1].transpose(2, 1, 0).reshape(k * in_ch, out_ch)
-    y = (cols2 @ wr + p.bias.data).reshape(nb, length, out_ch)
+    y = (cols2 @ wr + p.bias.data).reshape(nb, outputs, out_ch)
     need_db = ad.needs_grad(p.bias)
     cols2 = cols2 if ad.needs_grad(p.weights) else None  # kept for dW only
 
     def backward_fn(gd: np.ndarray):
-        g2 = np.ascontiguousarray(gd).reshape(nb * length, out_ch)
+        g2 = np.ascontiguousarray(gd).reshape(nb * outputs, out_ch)
         dw = db = None
         if cols2 is not None:
             dwr = cols2.T @ g2
@@ -194,21 +203,46 @@ def _conv_im2col(xpad, p, nb, length):
     return y, backward_fn
 
 
+# The tap loop's forward accumulates its per-tap GEMMs one block of records
+# at a time, about this many output elements (rows x channels) per block and
+# at least one record, so the accumulator and each tap's product stay in
+# cache instead of streaming a whole-batch temporary per tap (8 MB at B=64,
+# L=1000, 32 channels). Each record's GEMMs are the same calls as unblocked,
+# so y keeps its bits. Forward, min of 7 in two rounds (2-vCPU Xeon, numpy
+# 2.4.6, OpenBLAS 0.3.31), whole batch against 4096 rows of 32 channels:
+# 66-73 against 62-68 ms at B=64, L=1000, C=O=32, k=32; 75-78 against
+# 39-42 ms at B=128, C_in=4; 39-43 against 26-27 ms at B=64 with stride 2.
+# 2048 rows was within noise of 4096 on the shorter grids and slower on the
+# full-length ones; 8192 and 16384 were slower. A batch within one block
+# is not split: cutting a 25x200-row, 16-channel IG pass into 20 + 5
+# records cost 5-10% of its 0.3-0.4 ms. The backward's dx and dW measured
+# mixed when blocked (dW slower at L=1000), so they run over the whole
+# batch.
+_TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
+
+
 def _conv_taploop(xpad, p, nb, length, need_dx):
     """One batched GEMM per kernel tap; never builds the im2col buffer.
 
     The backward computes dx only when ``need_dx``.
     """
     out_ch, in_ch, k = p.weights.shape
-    d = p.dilation
+    d, s = p.dilation, p.stride
     pad = (k - 1) * d
-    # tap j multiplies xpad[:, j*d : j*d+L, :] by W[:, :, k-1-j]^T
+    outputs = (length - 1) // s + 1
+    # tap j multiplies xpad[:, t + j*d, :] by W[:, :, k-1-j]^T at every
+    # emitted position t = L-1 (mod s)
+    first = (length - 1) % s
+    windows = [slice(j * d + first, j * d + length, s) for j in range(k)]
     taps = [np.ascontiguousarray(p.weights.data[:, :, k - 1 - j].T)
             for j in range(k)]
-    y = np.empty((nb, length, out_ch), dtype=np.float32)
+    y = np.empty((nb, outputs, out_ch), dtype=np.float32)
     y[:] = p.bias.data
-    for j in range(k):
-        y += np.matmul(xpad[:, j * d:j * d + length, :], taps[j])
+    records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (outputs * out_ch))
+    for r in range(0, nb, records):
+        yr, xr = y[r:r + records], xpad[r:r + records]
+        for j in range(k):
+            yr += np.matmul(xr[:, windows[j], :], taps[j])
     need_db = ad.needs_grad(p.bias)
     padded_shape = xpad.shape
     saved = xpad if ad.needs_grad(p.weights) else None  # kept for dW only
@@ -220,12 +254,12 @@ def _conv_taploop(xpad, p, nb, length, need_dx):
             gdt = gd.transpose(0, 2, 1)
             dw = np.empty_like(p.weights.data)
             for j in range(k):
-                xslice = saved[:, j * d:j * d + length, :]
+                xslice = saved[:, windows[j], :]
                 dw[:, :, k - 1 - j] = np.matmul(gdt, xslice).sum(axis=0)
         if need_dx:
             dxpad = np.zeros(padded_shape, dtype=np.float32)
             for j in range(k):
-                dxpad[:, j * d:j * d + length, :] += np.matmul(gd, taps[j].T)
+                dxpad[:, windows[j], :] += np.matmul(gd, taps[j].T)
             dx = dxpad[:, pad:, :]
         if need_db:
             db = gd.sum(axis=(0, 1), dtype=np.float64).astype(np.float32)
@@ -261,11 +295,20 @@ def tcn_block(x: Tensor, p: TcnBlockParams, training: bool = False,
               rng: Optional[np.random.Generator] = None,
               length: Optional[int] = None, stride: int = 1) -> Tensor:
     """Residual block; ``length`` and ``stride`` describe a decimated ``x``
-    to dropout."""
+    to dropout: it holds every ``stride``-th of ``length`` positions.
+
+    A ``conv2`` of stride s emits every s-th position of ``x``, ending at
+    the last, and the block does too: its skip (or projection) reads those
+    positions of ``x``, and its second dropout indexes the full-resolution
+    mask at ``stride * s``.
+    """
+    s = p.conv2.stride
     h = ad.relu(conv1d_causal(x, p.conv1))
     h = dropout(h, p.dropout_ratio, training, rng, length, stride)
     h = ad.relu(conv1d_causal(h, p.conv2))
-    h = dropout(h, p.dropout_ratio, training, rng, length, stride)
+    h = dropout(h, p.dropout_ratio, training, rng, length, stride * s)
+    if s > 1:
+        x = ad.getitem(x, (slice(None), slice((x.shape[1] - 1) % s, None, s)))
     skip = x if p.projection is None else conv1d_causal(x, p.projection)
     return ad.relu(ad.add(h, skip))
 
@@ -378,10 +421,11 @@ class TcnModel:
                                    self.params[f"tcn.{b}.conv2.bias"], dilation=2 ** b),
                 projection=proj,
                 dropout_ratio=cfg.dropout))
-        # the same tensors at dilation 1, for the decimated `last` forward
+        # the same tensors at dilation 1, conv2 at stride 2, for the
+        # decimated `last` forward
         self._decimated_blocks: list[TcnBlockParams] = [
             replace(block, conv1=replace(block.conv1, dilation=1),
-                    conv2=replace(block.conv2, dilation=1))
+                    conv2=replace(block.conv2, dilation=1, stride=2))
             for block in self._blocks]
 
     def forward(self, x: Tensor, training: bool = False,
@@ -390,10 +434,12 @@ class TcnModel:
         """Map one-hot input [B, L, 4] to logits [B, k].
 
         With the ``last`` readout and no ``capture``, block b runs at
-        dilation 1 on the L/2^b positions t = L-1 (mod 2^b): a dilation-2^b
-        causal convolution read only there is a dilation-1 one over them
-        (arXiv:1511.07122, arXiv:1611.09482). The logits are those of the
-        full-resolution forward, and dropout draws the same masks.
+        dilation 1 on the ceil(L/2^b) positions t = L-1 (mod 2^b): a
+        dilation-2^b causal convolution read only there is a dilation-1 one
+        over them (arXiv:1511.07122, arXiv:1611.09482). Its conv2 runs at
+        stride 2 and emits only the ceil(L/2^(b+1)) positions the next block
+        reads. The logits are those of the full-resolution forward, and
+        dropout draws the same masks.
 
         ``capture``, when given, receives copies of every intermediate
         activation keyed by layer name, each at all L positions: it is the
@@ -413,11 +459,8 @@ class TcnModel:
         decimate = cfg.classifier_input == "last" and capture is None
         length, stride = h.shape[1], 1
         for b, block in enumerate(self._decimated_blocks if decimate else self._blocks):
-            if decimate and b > 0:  # keep every second position, ending at the last
-                n = h.shape[1]
-                h = ad.getitem(h, (slice(None), slice((n - 1) % 2, None, 2)))
-                stride *= 2
             h = tcn_block(h, block, training, rng, length, stride)
+            stride *= block.conv2.stride
             if capture is not None:
                 capture[f"tcn.{b}"] = h.data.copy()
 

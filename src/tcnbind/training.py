@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("warmup_frac must lie strictly between 0 and 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.monitor != "micro_ap":
             raise ValueError(f"monitor must be 'micro_ap', got {self.monitor!r}")
 

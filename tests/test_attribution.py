@@ -247,9 +247,8 @@ class TestFileFormats:
         assert [m.sample_id for m in loaded] == ["s0", "s1"]
         assert [m.label for m in loaded] == ["MYC", "MYC"]
         for orig, back in zip(maps, loaded):
-            np.testing.assert_allclose(back.scores, orig.scores, rtol=1e-4)
-            assert back.completeness_gap == pytest.approx(orig.completeness_gap,
-                                                          rel=1e-3)
+            np.testing.assert_array_equal(back.scores, orig.scores)
+            assert back.completeness_gap == orig.completeness_gap
 
     def test_attribution_round_trip_with_spaced_sample_id(self, tmp_path):
         # dataset origins come from a TSV field and may hold spaces

@@ -283,6 +283,31 @@ EXIT_CASES = {
     "negative_motifs_threads": (1, ["motifs", "--dataset", "{root}/ds.tsv",
                                     "--model", "{root}/m.ckpt", "--threads",
                                     "-2", "--out", "{out}"]),
+    "synth_negative_seed": (1, ["synth", "--n", "4", "--length", "10",
+                                "--seed", "-1", "--out", "{out}"]),
+    "split_negative_seed": (1, ["split", "--dataset", "{root}/ds.tsv",
+                                "--seed", "-1", "--out-prefix", "{out}"]),
+    "train_negative_seed": (1, ["train", "--dataset", "{root}/ds.tsv",
+                                "--seed", "-1", "--out", "{out}"]),
+    "train_set_negative_seed": (1, ["train", "--dataset", "{root}/ds.tsv",
+                                    "--set", "seed=-1", "--out", "{out}"]),
+    "attribute_negative_seed": (1, ["attribute", "--dataset", "{root}/ds.tsv",
+                                    "--model", "{root}/m.ckpt", "--seed", "-1",
+                                    "--out", "{out}"]),
+    "motifs_negative_seed": (1, ["motifs", "--dataset", "{root}/ds.tsv",
+                                 "--model", "{root}/m.ckpt", "--seed", "-1",
+                                 "--out", "{out}"]),
+    "noise_above_one": (1, ["synth", "--n", "4", "--length", "10",
+                            "--noise", "3", "--out", "{out}"]),
+    "marginal_above_one": (1, ["synth", "--n", "4", "--length", "10",
+                               "--marginal", "TF0=1.5", "--out", "{out}"]),
+    "nan_co_occurrence": (1, ["synth", "--n", "4", "--length", "10",
+                              "--co-occur", "TF0,TF1=nan", "--out", "{out}"]),
+    "train_frac_above_one": (1, ["split", "--dataset", "{root}/ds.tsv",
+                                 "--train-frac", "1.5", "--out-prefix",
+                                 "{out}"]),
+    "val_frac_one": (1, ["split", "--dataset", "{root}/ds.tsv",
+                         "--val-frac", "1.0", "--out-prefix", "{out}"]),
     "missing_dataset": (2, ["evaluate", "--dataset", "{root}/absent.tsv",
                             "--model", "{root}/m.ckpt", "--out", "{out}"]),
     "missing_model": (2, ["evaluate", "--dataset", "{root}/ds.tsv",

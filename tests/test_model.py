@@ -1,7 +1,8 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-
-import math
 
 from conftest import (measured_receptive_field, naive_causal_conv,
                       reference_forward, tiny_config)
@@ -126,6 +127,103 @@ class TestConv1dCausal:
         p = Conv1dParams(Tensor(w), Tensor(np.zeros(1, dtype=np.float32)), d)
         np.testing.assert_allclose(conv1d_causal(Tensor(x[None]), p).data[0, :, 0],
                                    valid, atol=1e-5)
+
+
+class TestConvStride:
+    """A conv of stride s emits the stride-1 output at t = L-1 (mod s),
+    ending at the last position, and back-propagates the same dx."""
+
+    @staticmethod
+    def pair(length, stride, dilation, needs_x_grad=True):
+        p = conv_params(40 + length, out_ch=3, in_ch=2, k=4, dilation=dilation)
+        rng = np.random.default_rng(41 + length)
+        x = Tensor(rng.uniform(-1, 1, (3, length, 2)).astype(np.float32),
+                   requires_grad=needs_x_grad)
+        keep = slice((length - 1) % stride, None, stride)
+        return x, p, replace(p, stride=stride), keep, rng
+
+    @staticmethod
+    def gradients(got, full, keep, rng):
+        """(dx, dW, db) of the strided op for a random g, and of the
+        stride-1 op for g at the emitted positions and zeros elsewhere."""
+        g = rng.uniform(-1, 1, got.shape).astype(np.float32)
+        g_full = np.zeros(full.shape, dtype=np.float32)
+        g_full[:, keep] = g
+        return got.node.backward_fn(g), full.node.backward_fn(g_full)
+
+    @staticmethod
+    def assert_close(got, want):
+        # dW and db sum only the emitted positions, where stride 1 sums
+        # zeros too: float32 rounding of the shorter sums
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-6 * np.abs(want).max())
+
+    @pytest.mark.parametrize("length,stride,dilation", [
+        (16, 2, 1), (17, 2, 1), (17, 2, 3), (23, 3, 2), (1, 2, 1), (3, 4, 2)])
+    def test_equals_stride_one_read_at_the_emitted_positions(self, length,
+                                                             stride, dilation):
+        x, p, strided, keep, rng = self.pair(length, stride, dilation)
+        full, got = conv1d_causal(x, p), conv1d_causal(x, strided)
+        assert got.shape == (3, math.ceil(length / stride), 3)
+        np.testing.assert_array_equal(got.data, full.data[:, keep])
+
+        (dx, dw, db), (want_dx, want_dw, want_db) = self.gradients(
+            got, full, keep, rng)
+        if got.shape[1] == 1 < full.shape[1]:
+            # one emitted position: numpy's matmul makes each per-tap dx
+            # product a BLAS matrix-vector call, which rounds otherwise than
+            # the stride-1 matrix-matrix call on the same row (as where the
+            # decimated grid shrinks to one position, below)
+            self.assert_close(dx, want_dx)
+        else:
+            np.testing.assert_array_equal(dx, want_dx)
+        self.assert_close(dw, want_dw)
+        self.assert_close(db, want_db)
+
+    @pytest.mark.parametrize("length,stride,dilation", [
+        (17, 2, 1), (23, 3, 2), (3, 4, 2)])
+    def test_im2col_takes_the_stride_too(self, length, stride, dilation,
+                                         monkeypatch):
+        x, p, strided, keep, rng = self.pair(length, stride, dilation,
+                                             needs_x_grad=False)
+        calls = TestConvGradientNeeds.count_kernels(monkeypatch)
+        full, got = conv1d_causal(x, p), conv1d_causal(x, strided)
+        assert calls == {"_conv_im2col": 2, "_conv_taploop": 0}
+        np.testing.assert_array_equal(got.data, full.data[:, keep])
+
+        (_, dw, db), (_, want_dw, want_db) = self.gradients(got, full, keep, rng)
+        self.assert_close(dw, want_dw)
+        self.assert_close(db, want_db)
+
+
+class TestTapLoopRecordBlocks:
+    """The tap loop's forward runs its per-tap GEMMs one block of records
+    at a time; each record's GEMMs are the same calls, so y and dx keep
+    their bits however the batch is cut."""
+
+    # 5 records of 13 (stride 1) or 7 (stride 2) output rows, 4 channels:
+    # blocks of one record, and of 2-4 records with a shorter last block
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 26, 30])
+    def test_blocks_keep_the_bits(self, monkeypatch, stride, block_rows):
+        p = replace(conv_params(50, out_ch=4, in_ch=3, k=3, dilation=2),
+                    stride=stride)
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.uniform(-1, 1, (5, 13, 3)).astype(np.float32),
+                   requires_grad=True)
+
+        def run():
+            y = conv1d_causal(x, p)
+            g = np.random.default_rng(52).uniform(-1, 1, y.shape)
+            return y.data, y.node.backward_fn(g.astype(np.float32))[0]
+
+        whole_y, whole_dx = run()
+        # one block by default
+        assert 5 * 13 * 4 <= tcn_model._TAPLOOP_BLOCK_ELEMENTS
+        monkeypatch.setattr(tcn_model, "_TAPLOOP_BLOCK_ELEMENTS", 4 * block_rows)
+        y, dx = run()
+        np.testing.assert_array_equal(y, whole_y)
+        np.testing.assert_array_equal(dx, whole_dx)
 
 
 class TestConvGradientNeeds:
@@ -411,16 +509,18 @@ class TestDecimatedForward:
 
 
 class TestDecimatedWorkShape:
-    """Which sequence length each convolution runs on: catches the
-    decimated path silently turning off, without timing anything."""
+    """How many positions each convolution reads and emits: catches the
+    decimated path, or conv2's stride, silently turning off, without
+    timing anything."""
 
     def conv_lengths(self, monkeypatch, config, capture=None):
         seen = []
         conv = tcn_model.conv1d_causal
 
         def recording(x, p):
-            seen.append(x.shape[-2])
-            return conv(x, p)
+            y = conv(x, p)
+            seen.append((x.shape[-2], y.shape[-2]))
+            return y
 
         monkeypatch.setattr(tcn_model, "conv1d_causal", recording)
         model = TcnModel.initialize(config, np.random.default_rng(0))
@@ -430,30 +530,38 @@ class TestDecimatedWorkShape:
         return seen
 
     @staticmethod
-    def per_block(config, length_of_block):
-        convs = 3 if config.cnn_kernels != config.tcn_channels else 2
-        lengths = [config.input_length] * config.cnn_layers
+    def per_block(config, conv1_length, conv2_length):
+        """(input, output) length of every conv in call order: the CNN
+        layers, then per block conv1, conv2 and block 0's projection, which
+        reads the positions conv2 emits."""
+        lengths = [(config.input_length, config.input_length)] * config.cnn_layers
         for b in range(config.tcn_blocks):
-            lengths += [length_of_block(b)] * (convs if b == 0 else 2)
+            n, m = conv1_length(b), conv2_length(b)
+            lengths += [(n, n), (n, m)]
+            if b == 0 and config.cnn_kernels != config.tcn_channels:
+                lengths.append((m, m))
         return lengths
 
     @pytest.mark.parametrize("length", [1, 24, 33, 100])
     def test_last_runs_block_b_on_ceil_length_over_2_to_the_b(self, monkeypatch,
                                                               length):
+        # conv1 of block b maps ceil(L/2^b) positions to as many; conv2
+        # emits every second one of them, ending at the last
         cfg = tiny_config(input_length=length, cnn_kernels=4, tcn_blocks=4)
-        want = self.per_block(cfg, lambda b: math.ceil(length / 2 ** b))
+        n = lambda b: math.ceil(length / 2 ** b)
+        want = self.per_block(cfg, n, lambda b: math.ceil(n(b) / 2))
         assert self.conv_lengths(monkeypatch, cfg) == want
 
     def test_mean_runs_every_conv_on_all_positions(self, monkeypatch):
         cfg = tiny_config(input_length=33, cnn_kernels=4, tcn_blocks=4,
                           classifier_input="mean")
         assert self.conv_lengths(monkeypatch, cfg) == self.per_block(
-            cfg, lambda b: 33)
+            cfg, lambda b: 33, lambda b: 33)
 
     def test_capture_runs_every_conv_on_all_positions(self, monkeypatch):
         cfg = tiny_config(input_length=33, cnn_kernels=4, tcn_blocks=4)
         assert self.conv_lengths(monkeypatch, cfg, capture={}) == \
-            self.per_block(cfg, lambda b: 33)
+            self.per_block(cfg, lambda b: 33, lambda b: 33)
 
 
 class TestReceptiveField:
