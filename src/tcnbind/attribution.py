@@ -376,7 +376,8 @@ def read_attribution_maps(path) -> list[AttributionMap]:
         if head is None:
             return
         sample_id, label, gap = head
-        maps.append(AttributionMap(label=label, scores=np.array(rows),
+        maps.append(AttributionMap(label=label,
+                                   scores=np.array(rows).reshape(len(rows), 4),
                                    baseline_count=0, steps=0,
                                    completeness_gap=gap, sample_id=sample_id))
 
@@ -405,7 +406,10 @@ def read_attribution_maps(path) -> list[AttributionMap]:
 
 def write_pwms(pwms: Iterable[Pwm], path, header_lines: Iterable[str] = ()) -> None:
     """Minimal MEME-like text: MOTIF name, w= width, probability rows, with
-    the information content appended as comments."""
+    the member count and the information content appended as comments.
+    Every real is the shortest text that reads back to the same float64
+    (``repr``); ``read_pwms`` reads the file back. Names hold no whitespace
+    (label names cannot)."""
     with open(path, "w", encoding="ascii") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -414,7 +418,47 @@ def write_pwms(pwms: Iterable[Pwm], path, header_lines: Iterable[str] = ()) -> N
             fh.write(f"MOTIF {pwm.name or 'motif'}\n")
             fh.write(f"w= {pwm.width}\n")
             for row in pwm.matrix:
-                fh.write(" ".join(f"{v:.6f}" for v in row) + "\n")
-            fh.write("# members= " + str(pwm.members) + "\n")
-            fh.write("# info_bits= " +
-                     " ".join(f"{v:.4f}" for v in pwm.information) + "\n\n")
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(f"# members= {pwm.members}\n")
+            fh.write("# info_bits= " + " ".join(
+                repr(float(v)) for v in pwm.information) + "\n\n")
+
+
+def read_pwms(path) -> list[Pwm]:
+    """The PWMs of a ``write_pwms`` file: name, matrix, members and
+    information bits, each as written. Raises DataError when malformed."""
+    pwms: list[Pwm] = []
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [(lineno, raw.rstrip("\n"))
+                 for lineno, raw in enumerate(fh, start=1) if raw.strip()]
+    pos = 0
+    while pos < len(lines) and lines[pos][1].startswith("#"):
+        pos += 1  # provenance header
+    if pos == len(lines) or lines[pos][1].split() != ["ALPHABET=", "ACGT"]:
+        raise DataError("missing 'ALPHABET= ACGT' line")
+    pos += 1
+
+    def take(prefix):
+        nonlocal pos
+        if pos == len(lines) or not lines[pos][1].startswith(prefix):
+            where = (f"line {lines[pos][0]}" if pos < len(lines)
+                     else "end of file")
+            raise DataError(f"{where}: expected {prefix.strip()!r}")
+        pos += 1
+        return lines[pos - 1][1][len(prefix):]
+
+    while pos < len(lines):
+        name = take("MOTIF ")
+        try:
+            width = int(take("w= "))
+            matrix = np.array([[float(v) for v in take("").split()]
+                               for _ in range(width)]).reshape(width, 4)
+            members = int(take("# members= "))
+            info = np.array([float(v) for v in take("# info_bits= ").split()])
+        except ValueError as exc:
+            raise DataError(f"motif {name!r}: {exc}") from None
+        if info.shape != (width,):
+            raise DataError(f"motif {name!r}: {len(info)} info bits for "
+                            f"width {width}")
+        pwms.append(Pwm(matrix, info, members, name=name))
+    return pwms

@@ -131,9 +131,16 @@ def _provenance(resolved: dict, seed) -> list[str]:
     return [f"tcnbind {__version__} config_hash={digest} seed={seed}"]
 
 
+def _train_config(resolved: dict) -> trn.TrainConfig:
+    try:
+        return trn.TrainConfig(**{k: v for k, v in resolved.items()
+                                  if k in _TRAIN_KEYS})
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
+
+
 def _split_configs(resolved: dict, ds: dat.EncodedDataset):
     model_kwargs = {k: v for k, v in resolved.items() if k in _MODEL_KEYS}
-    train_kwargs = {k: v for k, v in resolved.items() if k in _TRAIN_KEYS}
     for key in _DERIVED_KEYS:
         derived = ds.sequence_length if key == "input_length" else ds.num_labels
         if key in model_kwargs and model_kwargs[key] != derived:
@@ -142,9 +149,10 @@ def _split_configs(resolved: dict, ds: dat.EncodedDataset):
                 f"{derived}")
         model_kwargs[key] = derived
     try:
-        return ModelConfig(**model_kwargs), trn.TrainConfig(**train_kwargs)
+        model_cfg = ModelConfig(**model_kwargs)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
+    return model_cfg, _train_config(resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +245,20 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     train_ds = dat.load_dataset(args.dataset)
-    if args.val:
-        val_ds = dat.load_dataset(args.val)
-    else:
-        # hold out 20% of the provided training records for monitoring
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        order = rng.permutation(len(train_ds))
-        n_val = max(1, int(0.2 * len(train_ds)))
-        val_ds = train_ds.subset(order[:n_val])
-        train_ds = train_ds.subset(order[n_val:])
-
+    val_ds = dat.load_dataset(args.val) if args.val else None
     resolved = load_run_config(args.config, args.set)
     if args.seed is not None:
         resolved["seed"] = args.seed
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
+    if val_ds is None:
+        # hold out 20% of the provided training records for monitoring,
+        # drawn from the run seed however it was given
+        rng = np.random.default_rng(_train_config(resolved).seed)
+        order = rng.permutation(len(train_ds))
+        n_val = max(1, int(0.2 * len(train_ds)))
+        val_ds = train_ds.subset(order[:n_val])
+        train_ds = train_ds.subset(order[n_val:])
     # data errors first: an empty set has no input_length to derive
     trn.check_training_sets(train_ds, val_ds, train_ds.num_labels)
     model_cfg, train_cfg = _split_configs(resolved, train_ds)

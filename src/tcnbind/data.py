@@ -316,6 +316,13 @@ class EncodedDataset:
             self.origins = ["synthetic:0-0"] * n
         if len(self.origins) != n:
             raise DataError("origins do not align with samples")
+        # the dataset TSV holds an origin as a tab-separated field of a
+        # line, and reads a line starting with "#" as a comment
+        for origin in self.origins:
+            if (not origin.isascii() or origin.startswith("#")
+                    or any(ch in origin for ch in "\t\r\n")):
+                raise DataError(f"origin {origin!r} must be ASCII without tab "
+                                f"or line break, not starting with '#'")
         if n:
             length = len(self.sequences[0])
             if any(len(s) != length for s in self.sequences):

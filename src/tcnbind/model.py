@@ -125,13 +125,13 @@ def receptive_field(config: ModelConfig) -> int:
 # The im2col kernel materializes a [B*L_out, k*C_in] window buffer; above this
 # many elements that buffer thrashes memory (and costs RSS), so larger convs
 # take the tap loop. Only a conv whose input needs no gradient, and whose
-# buffer fits, runs im2col: its input gradient (one dcols GEMM, then a
-# scatter of k taps) is slower than the tap loop's per-tap dx, 1.7 ms
-# against 0.5 ms at B=25, L=200, C=16, k=8 with one BLAS thread, and 7.3
-# against 0.7 ms with two, where its [B*L]-row GEMM starts OpenBLAS's
-# threads (min of 15; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31). Its dW
-# alone is within noise of the tap loop's: 14-17 against 15-18 ms at B=64,
-# L=1000, C_in=4, k=32.
+# buffer fits, runs im2col: it has no dx path, and the tap loop's dx is
+# cheap, 0.45 ms min at B=25, L=200, C=16, k=8 with two BLAS threads and
+# 0.71 ms with one (min of 15; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
+# Its dW beats the tap loop's at a thin input: 6.7-7.3 against 14.3-15.6 ms
+# at B=64, L=1000, C_in=4, k=32 with two threads, 8.6-12.4 against
+# 9.8-13.6 ms with one; that shape's buffer (8.2M elements) is over the
+# limit, so the first layer's training backward takes the tap loop.
 _IM2COL_ELEMENT_LIMIT = 4_000_000
 
 
@@ -142,14 +142,17 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     the ceil(L/s) positions t = L-1 (mod s), ending at the last, with the
     values of the stride-1 output there: [B, ceil(L/s), C_out].
 
-    The kernel is picked by the
-    gradients the op must produce (``ad.needs_grad``, judged now): a conv
-    whose input needs a gradient takes ``_conv_taploop``, whose per-tap dx
-    is 3-10x faster than im2col's; one whose input needs none (no-grad
-    scoring, the first layer in training) takes ``_conv_im2col`` while its
-    window buffer stays within ``_IM2COL_ELEMENT_LIMIT`` elements, and the
-    tap loop beyond. The backward returns ``None`` for each of x, W and b
-    that needs no gradient, so a frozen model's backward computes dx only.
+    The kernel is picked by the gradients the op must produce
+    (``ad.needs_grad``, judged now): a conv whose input needs a gradient
+    takes ``_conv_taploop``, whose block-Toeplitz dx is faster than
+    im2col's; one whose input needs none (no-grad scoring, the first layer
+    in training) takes ``_conv_im2col`` while its window buffer stays
+    within ``_IM2COL_ELEMENT_LIMIT`` elements, and the tap loop beyond.
+    The input is padded once, with (k-1)*d zeros on the left and, for the
+    tap loop, zeros on the right up to its backward's block layout
+    (``_toeplitz_layout``). The backward returns ``None`` for each of x, W
+    and b that needs no gradient, so a frozen model's backward computes dx
+    only.
     """
     _, in_ch, k = p.weights.shape
     d = p.dilation
@@ -159,11 +162,18 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
     nb, length, _ = x.shape
     pad = (k - 1) * d
-    xpad = np.pad(x.data, ((0, 0), (pad, 0), (0, 0)))
-
     need_dx = ad.needs_grad(x)
     outputs = (length - 1) // p.stride + 1
-    if need_dx or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT:
+    taploop = need_dx or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT
+    if taploop:
+        g, _, phases, blocks = _toeplitz_layout(k, d, p.stride, length)
+        rows = phases * blocks * g
+    else:
+        rows = pad + length
+    xpad = np.zeros((nb, rows, in_ch), dtype=np.float32)
+    xpad[:, pad:pad + length] = x.data
+
+    if taploop:
         y, backward_fn = _conv_taploop(xpad, p, nb, length, need_dx)
     else:
         y, backward_fn = _conv_im2col(xpad, p, nb, length)
@@ -215,27 +225,113 @@ def _conv_im2col(xpad, p, nb, length):
 # 2048 rows was within noise of 4096 on the shorter grids and slower on the
 # full-length ones; 8192 and 16384 were slower. A batch within one block
 # is not split: cutting a 25x200-row, 16-channel IG pass into 20 + 5
-# records cost 5-10% of its 0.3-0.4 ms. The backward's dx and dW measured
-# mixed when blocked (dW slower at L=1000), so they run over the whole
-# batch.
+# records cost 5-10% of its 0.3-0.4 ms. The backward runs over chunks of
+# records with the same element budget, counted on its largest staged
+# array; whole-batch staging raised train_paper's peak RSS by ~7 MB.
 _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
+
+# Positions per block of the tap loop's block-Toeplitz backward: a multiple
+# of the stride it runs at, and one stride for a 1x1 conv, whose dW so
+# stays bit-equal between the decimated and full-resolution forwards (4
+# missed by 2.6e-7, relative). A block of g costs (M+1)*g/k the
+# multiply-adds of a per-tap backward, 1.125x at k=32 and 1.5x at k=8, in
+# fewer, wider GEMMs.
+# The 14 conv backwards of one paper-shape train step (B=64, L=1000,
+# C=O=32, k=32, stride-2 conv2s; min of 3, three interleaved rounds) took
+# 510-539 ms at g=2, 469-486 at 4 and 426-465 at 8 (804-813 ms for the
+# per-tap backward); the dx of an IG pass (B=25, L=200, C=16, k=8, summed
+# over d=1,2,4,8) 2.6-3.7, 2.4-3.7 and 3.5-4.3 ms. 4 is within 10% of 8 on
+# the train step and does not slow the IG pass (2-vCPU Xeon, numpy 2.4.6,
+# OpenBLAS 0.3.31).
+#
+# No GEMM here is a 2-D product of thousands of rows and few columns: with
+# OpenBLAS's two threads on a 2-vCPU host such a product stalls in some
+# phases of the host, (1300x64)@(64x64) 4.8-8.0 ms against 0.07 ms in
+# others, where the 3-D batch of 25 records took 0.10 ms. dX runs 3-D
+# per-record matmuls; dW's X^T @ G has its many rows in K.
+_TOEPLITZ_BLOCK = 4
+
+
+def _toeplitz_layout(k, d, s, length):
+    """Block layout of the tap loop's backward: (g, step, phases, blocks).
+
+    The backward runs at stride ``step``: s, or 1 for a dilated strided
+    conv, whose output gradient it spreads to every position. Positions go
+    in blocks of g, a multiple of ``step``. A dilation-d conv is d
+    interleaved dilation-1 convs, its phases: phase r holds the positions
+    r, r+d, r+2d, ... The padded input, (k-1)*d zeros then x then zeros,
+    has phases * blocks * g rows, and each phase's last M = (g+k-2)//g
+    blocks lie past its last output's block: a block of outputs reads its
+    own input block and the next M.
+    """
+    if k == 1:
+        d = 1  # one tap: the dilation moves nothing
+    step = s if d == 1 else 1
+    g = step if k == 1 else step * max(1, _TOEPLITZ_BLOCK // step)
+    positions = -(-length // d)  # the longest phase
+    blocks = -(-positions // g) + (g + k - 2) // g
+    return g, step, d, blocks
+
+
+def _phase_major(a, phases, rows):
+    """[B, n, C] to [B, phases * rows, C], zero-filled: row r*rows + u
+    holds a[:, r + phases*u]."""
+    out = np.zeros((a.shape[0], phases, rows, a.shape[2]), dtype=np.float32)
+    for r in range(phases):
+        part = a[:, r::phases]
+        out[:, r, :part.shape[1]] = part
+    return out.reshape(a.shape[0], phases * rows, a.shape[2])
+
+
+def _toeplitz_bands(weights, g, step, lead):
+    """T_m^T for m = 0..M as [M+1, (g/step)*O, g*C]: entry [(r, o), (q, c)]
+    is W[o, c, k-1-j] for the tap j = m*g + q - lead - step*r, and 0 where
+    no tap is. Output r of a block sits at offset lead + step*r in it."""
+    out_ch, in_ch, k = weights.shape
+    m, q, r = np.ogrid[:(g + k - 2) // g + 1, :g, :g // step]
+    j = m * g + q - lead - step * r
+    # wz[j] = W[:, :, k-1-j]; j = -1 reads the zero slot appended last
+    wz = np.concatenate([weights[:, :, ::-1].transpose(2, 0, 1),
+                         np.zeros((1, out_ch, in_ch), dtype=np.float32)])
+    bands = wz[np.where((j >= 0) & (j < k), j, -1)]  # [M+1, g, g/step, O, C]
+    return np.ascontiguousarray(bands.transpose(0, 2, 3, 1, 4)).reshape(
+        len(bands), (g // step) * out_ch, g * in_ch)
+
+
+def _fold_bands(dbands, k, g, step, lead):
+    """dW [O, C, k] from D_m = X^T @ G, [M+1, g*C, (g/step)*O]: tap j sums
+    D_m[(q, c), (r, o)] over the (m, q, r) with m*g + q = j + lead + step*r,
+    the transpose of ``_toeplitz_bands``."""
+    _, rows, cols = dbands.shape
+    in_ch, out_ch = rows // g, cols // (g // step)
+    parts = dbands.reshape(-1, g, in_ch, g // step, out_ch)
+    r = np.arange(g // step)
+    at = np.arange(k)[:, None] + lead + step * r
+    dwr = parts[at // g, at % g, :, r, :].sum(axis=1)  # [k, C, O]
+    return np.ascontiguousarray(dwr[::-1].transpose(2, 1, 0))
 
 
 def _conv_taploop(xpad, p, nb, length, need_dx):
-    """One batched GEMM per kernel tap; never builds the im2col buffer.
+    """One batched GEMM per kernel tap forward; a block-Toeplitz backward.
+    Never builds the im2col buffer.
 
-    The backward computes dx only when ``need_dx``.
+    The backward groups positions into the blocks of ``_toeplitz_layout``.
+    With the banded matrices T_m of ``_toeplitz_bands``, block i of the
+    output gradient G feeds input blocks i..i+M: dX[i+m] += G[i] @ T_m^T,
+    per record, and dW folds D_m = X^T @ G, one GEMM per m over every block
+    row of a chunk of records, back onto the k taps (``_fold_bands``). Each
+    record's (and phase's) last M blocks of G are zero, which keeps records
+    and phases apart. The backward computes dx only when ``need_dx``.
     """
     out_ch, in_ch, k = p.weights.shape
     d, s = p.dilation, p.stride
-    pad = (k - 1) * d
     outputs = (length - 1) // s + 1
     # tap j multiplies xpad[:, t + j*d, :] by W[:, :, k-1-j]^T at every
     # emitted position t = L-1 (mod s)
     first = (length - 1) % s
     windows = [slice(j * d + first, j * d + length, s) for j in range(k)]
-    taps = [np.ascontiguousarray(p.weights.data[:, :, k - 1 - j].T)
-            for j in range(k)]
+    weights = p.weights.data
+    taps = [np.ascontiguousarray(weights[:, :, k - 1 - j].T) for j in range(k)]
     y = np.empty((nb, outputs, out_ch), dtype=np.float32)
     y[:] = p.bias.data
     records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (outputs * out_ch))
@@ -244,25 +340,54 @@ def _conv_taploop(xpad, p, nb, length, need_dx):
         for j in range(k):
             yr += np.matmul(xr[:, windows[j], :], taps[j])
     need_db = ad.needs_grad(p.bias)
-    padded_shape = xpad.shape
     saved = xpad if ad.needs_grad(p.weights) else None  # kept for dW only
+    g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
+    band = (g + k - 2) // g  # M
+    lead = (length - 1) % step  # first position the backward emits
+    rows = phases * blocks  # block rows per record
+    # records per chunk of the backward, by its largest staged array
+    per = max(1, _TAPLOOP_BLOCK_ELEMENTS // (rows * g * max(in_ch, out_ch)))
 
     def backward_fn(gd: np.ndarray):
-        gd = np.ascontiguousarray(gd)
         dx = dw = db = None
-        if saved is not None:
-            gdt = gd.transpose(0, 2, 1)
-            dw = np.empty_like(p.weights.data)
-            for j in range(k):
-                xslice = saved[:, windows[j], :]
-                dw[:, :, k - 1 - j] = np.matmul(gdt, xslice).sum(axis=0)
-        if need_dx:
-            dxpad = np.zeros(padded_shape, dtype=np.float32)
-            for j in range(k):
-                dxpad[:, windows[j], :] += np.matmul(gd, taps[j].T)
-            dx = dxpad[:, pad:, :]
         if need_db:
             db = gd.sum(axis=(0, 1), dtype=np.float64).astype(np.float32)
+        if saved is None and not need_dx:
+            return dx, dw, db
+        if saved is not None:
+            dbands = np.zeros((band + 1, g * in_ch, (g // step) * out_ch),
+                              dtype=np.float32)
+        if need_dx:
+            tt = _toeplitz_bands(weights, g, step, lead)
+            dx = np.empty((nb, length, in_ch), dtype=np.float32)
+        for r0 in range(0, nb, per):
+            gr = gd[r0:r0 + per]
+            if step < s:
+                gr = np.zeros((len(gr), length, out_ch), dtype=np.float32)
+                gr[:, first::s] = gd[r0:r0 + per]
+            gr = _phase_major(gr, phases, blocks * (g // step))
+            n = len(gr) * rows
+            if saved is not None:
+                xr = saved[r0:r0 + per]
+                xb = (xr if phases == 1 else
+                      _phase_major(xr, phases, blocks * g)).reshape(n, -1)
+                gf = gr.reshape(n, -1)
+                for m in range(band + 1):
+                    dbands[m] += xb[m:].T @ gf[:n - m]
+            if need_dx:
+                gb = gr.reshape(-1, rows, (g // step) * out_ch)
+                # M spare rows per record take the zero rows' products
+                dxb = np.zeros((len(gb), rows + band, g * in_ch),
+                               dtype=np.float32)
+                for m in range(band + 1):
+                    dxb[:, m:m + rows] += np.matmul(gb, tt[m])
+                # x[t] sits at phase-local row k-1 + t // phases
+                dxp = dxb[:, :rows].reshape(len(gb), phases, blocks * g, in_ch)
+                for r in range(phases):
+                    n_r = len(range(r, length, phases))
+                    dx[r0:r0 + per, r::phases] = dxp[:, r, k - 1:k - 1 + n_r]
+        if saved is not None:
+            dw = _fold_bands(dbands, k, g, step, lead)
         return dx, dw, db
 
     return y, backward_fn

@@ -97,6 +97,18 @@ train_configs = st.builds(
     monitor=st.just("micro_ap"))
 
 
+# Names the text formats carry. Label names are non-empty ASCII without ","
+# or whitespace; record origins are ASCII without tab or line break and do
+# not start with "#" (EncodedDataset enforces both). Attribution maps name
+# a sample "<origin>#<index>".
+label_names = st.text(st.characters(codec="ascii"), min_size=1,
+                      max_size=8).filter(
+    lambda s: "," not in s and not any(ch.isspace() for ch in s))
+origins = st.text(st.characters(codec="ascii", exclude_characters="\t\r\n"),
+                  max_size=16).filter(lambda s: not s.startswith("#"))
+sample_ids = st.builds("{}#{}".format, origins, st.integers(0, 10 ** 6))
+
+
 @pytest.fixture
 def tiny_model():
     return TcnModel.initialize(tiny_config(), np.random.default_rng(7))

@@ -1,7 +1,10 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import LinearProbe, tiny_config
+from conftest import LinearProbe, label_names, sample_ids, tiny_config
 
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
@@ -10,9 +13,9 @@ from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
                                  extract_seqlets, information_content,
                                  integrated_gradients, make_shuffled_baselines,
                                  pwm_from_consensus, pwm_similarity,
-                                 read_attribution_maps, write_attribution_maps,
-                                 write_pwms)
-from tcnbind.data import one_hot
+                                 read_attribution_maps, read_pwms,
+                                 write_attribution_maps, write_pwms)
+from tcnbind.data import DataError, one_hot
 from tcnbind.model import TcnModel
 from tcnbind.training import ModelCheckpoint, build_model
 
@@ -260,6 +263,55 @@ class TestFileFormats:
         loaded = read_attribution_maps(path)
         assert [(m.sample_id, m.label, m.completeness_gap) for m in loaded] == [
             (i, "TF0", 0.5) for i in ids]
+
+    @given(st.lists(st.tuples(
+        sample_ids, label_names, st.integers(0, 6).flatmap(
+            lambda n: hnp.arrays(np.float64, (n, 4))), st.floats()),
+        max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_any_maps_read_back(self, tmp_path_factory, fields):
+        maps = [AttributionMap(label, scores, 1, 1, gap, sample_id=sid)
+                for sid, label, scores, gap in fields]
+        path = tmp_path_factory.mktemp("maps") / "attr.txt"
+        write_attribution_maps(maps, path, header_lines=["provenance"])
+        loaded = read_attribution_maps(path)
+        assert [(m.sample_id, m.label) for m in loaded] == [
+            (m.sample_id, m.label) for m in maps]
+        for orig, back in zip(maps, loaded):
+            np.testing.assert_array_equal(back.scores, orig.scores)
+            np.testing.assert_array_equal(back.completeness_gap,
+                                          orig.completeness_gap)
+
+    @given(st.lists(st.tuples(
+        label_names, st.integers(0, 6).flatmap(lambda w: st.tuples(
+            hnp.arrays(np.float64, (w, 4)), hnp.arrays(np.float64, (w,)))),
+        st.integers(0, 10 ** 9)), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_any_pwms_read_back(self, tmp_path_factory, fields):
+        pwms = [Pwm(matrix, info, members, name=f"{label}.cluster{i}")
+                for i, (label, (matrix, info), members) in enumerate(fields)]
+        path = tmp_path_factory.mktemp("pwms") / "pwms.txt"
+        write_pwms(pwms, path, header_lines=["provenance"])
+        loaded = read_pwms(path)
+        assert [(p.name, p.members) for p in loaded] == [
+            (p.name, p.members) for p in pwms]
+        for orig, back in zip(pwms, loaded):
+            np.testing.assert_array_equal(back.matrix, orig.matrix)
+            np.testing.assert_array_equal(back.information, orig.information)
+
+    @pytest.mark.parametrize("text", [
+        "", "MOTIF a\nw= 1\n1 0 0 0\n", "ALPHABET= ACGT\nMOTIF a\nw= 2\n"
+        "1 0 0 0\n# members= 1\n# info_bits= 2.0\n",
+        "ALPHABET= ACGT\nMOTIF a\nw= 1\n1 0 0\n# members= 1\n"
+        "# info_bits= 2.0\n",
+        "ALPHABET= ACGT\nMOTIF a\nw= 1\n1 0 0 0\n# members= 1\n"
+        "# info_bits= 2.0 1.0\n"],
+        ids=["empty", "no_alphabet", "short_matrix", "short_row", "long_info"])
+    def test_malformed_pwms_are_data_errors(self, tmp_path, text):
+        path = tmp_path / "pwms.txt"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            read_pwms(path)
 
     def test_pwm_output_format(self, tmp_path):
         path = tmp_path / "pwm.txt"

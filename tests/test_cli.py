@@ -36,7 +36,7 @@ def pipeline_config(tmp_path):
     path.write_text(
         "cnn_layers = 1\ncnn_kernels = 8\ntcn_blocks = 2\ntcn_channels = 8\n"
         "kernel_size = 6\nmlp_hidden = 16\ndropout = 0.0\n"
-        "batch_size = 16\nepochs = 3\nlr_max = 0.005\npatience = 5\nseed = 1\n")
+        "batch_size = 16\nepochs = 3\nlr_max = 0.005\npatience = 5\nseed = 3\n")
     return path
 
 
@@ -79,7 +79,7 @@ class TestTrainEvaluatePipeline:
                    "--out", ckpt_path) == 0
         ckpt = load_checkpoint(ckpt_path)
         assert ckpt.metadata["tool_version"]
-        assert ckpt.metadata["seed"] == "1"
+        assert ckpt.metadata["seed"] == "3"
 
         metrics_path = tmp_path / "metrics.txt"
         assert run("evaluate", "--dataset", synth_file, "--model", ckpt_path,
@@ -108,6 +108,17 @@ class TestTrainEvaluatePipeline:
         for out in (a, b):
             assert run("train", "--dataset", synth_file,
                        "--config", pipeline_config, "--out", out) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_hold_out_follows_the_seed_however_given(self, tmp_path,
+                                                     synth_file,
+                                                     pipeline_config):
+        # the config says seed = 3; both runs train, and hold out, with 5
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        common = ["train", "--dataset", synth_file, "--config",
+                  pipeline_config, "--set", "epochs=1"]
+        assert run(*common, "--seed", 5, "--out", a) == 0
+        assert run(*common, "--set", "seed=5", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_flag_overrides_config(self, tmp_path, synth_file, pipeline_config):

@@ -13,6 +13,8 @@ from tcnbind.data import (DataError, EncodedDataset, GenomicInterval,
                           one_hot, parse_bed, parse_fasta, save_dataset,
                           split_dataset, extract_window, LabeledRegion)
 
+from conftest import label_names, origins
+
 
 class TestParseBed:
     def test_basic_record(self):
@@ -355,6 +357,39 @@ class TestDatasetRoundTrip:
         assert loaded.sequences == ds.sequences
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.origins == ds.origins
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_dataset_reads_back(self, tmp_path_factory, data):
+        names = data.draw(st.lists(label_names, min_size=1, max_size=4,
+                                   unique=True))
+        n = data.draw(st.integers(0, 5))
+        length = data.draw(st.integers(1, 9))
+        sequences = data.draw(st.lists(
+            st.text(alphabet="ACGTN", min_size=length, max_size=length),
+            min_size=n, max_size=n))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=len(names),
+                     max_size=len(names)).filter(
+                lambda r: len(names) == 1 or any(r)),
+            min_size=n, max_size=n))
+        where = data.draw(st.lists(origins, min_size=n, max_size=n))
+        labels = np.array(rows, dtype=np.uint8).reshape(n, len(names))
+        ds = EncodedDataset(names, sequences, labels, where)
+        path = tmp_path_factory.mktemp("tsv") / "ds.tsv"
+        save_dataset(ds, path, header_lines=["provenance"])
+        loaded = load_dataset(path)
+        assert loaded.label_names == ds.label_names
+        assert loaded.sequences == ds.sequences
+        assert np.array_equal(loaded.labels, ds.labels)
+        assert loaded.origins == ds.origins
+
+    @pytest.mark.parametrize("origin", ["#chr1:0-4", "a\tb", "a\nb", "a\rb",
+                                        "caf\u00e9"])
+    def test_origins_the_format_cannot_hold(self, origin):
+        with pytest.raises(DataError, match="origin"):
+            EncodedDataset(["A"], ["ACGT"], np.ones((1, 1), dtype=np.uint8),
+                           [origin])
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

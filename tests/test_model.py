@@ -197,16 +197,31 @@ class TestConvStride:
 
 
 class TestTapLoopRecordBlocks:
-    """The tap loop's forward runs its per-tap GEMMs one block of records
-    at a time; each record's GEMMs are the same calls, so y and dx keep
-    their bits however the batch is cut."""
+    """The tap loop's forward runs its per-tap GEMMs, and its backward
+    stages G and computes dx, one block of records at a time; each record's
+    GEMMs are the same calls, so y and dx keep their bits however the batch
+    is cut. dW sums its per-block GEMMs, so it keeps them only to float32
+    rounding."""
 
     # 5 records of 13 (stride 1) or 7 (stride 2) output rows, 4 channels:
-    # blocks of one record, and of 2-4 records with a shorter last block
+    # forward blocks of one record, and of 2-4 records with a shorter last
+    # block; backward blocks of one record, and of two at 48 rows
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("block_rows", [1, 26, 30])
+    @pytest.mark.parametrize("block_rows", [1, 26, 30, 48])
     def test_blocks_keep_the_bits(self, monkeypatch, stride, block_rows):
-        p = replace(conv_params(50, out_ch=4, in_ch=3, k=3, dilation=2),
+        self.check(monkeypatch, 2, stride, block_rows)
+
+    @pytest.mark.parametrize("dilation", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 48])
+    def test_blocks_keep_the_bits_at_other_dilations(self, monkeypatch,
+                                                     dilation, stride,
+                                                     block_rows):
+        self.check(monkeypatch, dilation, stride, block_rows)
+
+    @staticmethod
+    def check(monkeypatch, dilation, stride, block_rows):
+        p = replace(conv_params(50, out_ch=4, in_ch=3, k=3, dilation=dilation),
                     stride=stride)
         rng = np.random.default_rng(51)
         x = Tensor(rng.uniform(-1, 1, (5, 13, 3)).astype(np.float32),
@@ -215,17 +230,71 @@ class TestTapLoopRecordBlocks:
         def run():
             y = conv1d_causal(x, p)
             g = np.random.default_rng(52).uniform(-1, 1, y.shape)
-            return y.data, y.node.backward_fn(g.astype(np.float32))[0]
+            return (y.data, *y.node.backward_fn(g.astype(np.float32)))
 
-        whole_y, whole_dx = run()
+        whole_y, whole_dx, whole_dw, whole_db = run()
         # one block by default
         assert 5 * 13 * 4 <= tcn_model._TAPLOOP_BLOCK_ELEMENTS
         monkeypatch.setattr(tcn_model, "_TAPLOOP_BLOCK_ELEMENTS", 4 * block_rows)
-        y, dx = run()
+        y, dx, dw, db = run()
         np.testing.assert_array_equal(y, whole_y)
         np.testing.assert_array_equal(dx, whole_dx)
+        np.testing.assert_allclose(dw, whole_dw, rtol=0,
+                                   atol=1e-6 * np.abs(whole_dw).max())
+        np.testing.assert_array_equal(db, whole_db)
 
 
+def direct_conv_backward(x, w, dilation, stride, g):
+    """float64 (dx, dW, db) of y[b, t, o] = sum W[o, c, i] x[b, t - d*i, c]
+    at the emitted positions t = L-1 (mod stride), by direct sums."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    length, k = x.shape[1], w.shape[2]
+    emitted = np.arange((length - 1) % stride, length, stride)
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(k):
+        src = emitted - dilation * i
+        ok = src >= 0
+        dx[:, src[ok]] += g[:, ok] @ w[:, :, i]
+        dw[:, :, i] = np.einsum("bto,btc->oc", g[:, ok], x[:, src[ok]])
+    return dx, dw, g.sum(axis=(0, 1))
+
+
+class TestBlockToeplitzBackward:
+    """The tap loop's block-Toeplitz backward against float64 direct sums,
+    over kernel widths, dilations and strides, with lengths below the block
+    size (4) and the kernel width and lengths that are no block multiple.
+    float32 sums of at most k * C_in * ceil(L/s) products of terms in
+    [-1, 1]: within 1e-5 of each array's largest entry."""
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 32])
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_direct_sums(self, k, dilation, stride):
+        for length, in_ch in [(1, 1), (3, 3), (7, 1), (37, 3)]:
+            p = replace(conv_params(60 + k, out_ch=2, in_ch=in_ch, k=k,
+                                    dilation=dilation, scale=1.0),
+                        stride=stride)
+            rng = np.random.default_rng(61 + length)
+            x = Tensor(rng.uniform(-1, 1, (2, length, in_ch))
+                       .astype(np.float32), requires_grad=True)
+            y = conv1d_causal(x, p)
+            g = rng.uniform(-1, 1, y.shape).astype(np.float32)
+            got = y.node.backward_fn(g)
+            want = direct_conv_backward(x.data, p.weights.data, dilation,
+                                        stride, g)
+            for name, a, b in zip(("dx", "dW", "db"), got, want):
+                np.testing.assert_allclose(
+                    a, b, rtol=0, atol=1e-5 * max(np.abs(b).max(), 1e-30),
+                    err_msg=f"{name} at L={length}, C_in={in_ch}")
+
+    def test_padded_input_holds_whole_blocks(self):
+        # the forward pads x once, to the backward's block layout
+        for k, d, s, length in [(32, 1, 1, 1000), (32, 1, 2, 1000),
+                                (8, 4, 1, 200), (3, 2, 3, 23), (1, 5, 2, 7)]:
+            g, step, phases, blocks = tcn_model._toeplitz_layout(k, d, s,
+                                                                 length)
+            assert g % step == 0 and s % step == 0
+            assert phases * blocks * g >= (k - 1) * d + length
 class TestConvGradientNeeds:
     """The conv kernel is picked, and its backward sized, by the gradients
     the op must produce."""
