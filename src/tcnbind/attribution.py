@@ -192,8 +192,14 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
     tracks = [actual_base_scores(m, one_hot(m.sequence))
               for m in run_ig_jobs(model, jobs, steps, threads)]
 
-    seqlets = extract_seqlets(tracks[:len(real_seqs)], window,
-                              tracks[len(real_seqs):], label=label)
+    null_tracks = tracks[len(real_seqs):]
+    seqlets = extract_seqlets(tracks[:len(real_seqs)], window, null_tracks,
+                              label=label)
+    if not seqlets:
+        logger.warning(
+            "label %r yields no seqlet, so no PWM: no window beats the null "
+            "threshold %.4g of %d shuffled sequences (null_count %d)", label,
+            _null_threshold(null_tracks, window), len(null_tracks), null_count)
     pwms = cluster_and_build_pwm(seqlets, [one_hot(s) for s in real_seqs])
     for pwm in pwms:
         pwm.name = f"{label}.{pwm.name}"
@@ -211,6 +217,12 @@ def _window_sums(track: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(np.abs(track), np.ones(window), mode="valid")
 
 
+def _null_threshold(null_tracks: Sequence[np.ndarray], window: int) -> float:
+    """mean + 3 std of the null tracks' window sums."""
+    null_sums = np.concatenate([_window_sums(t, window) for t in null_tracks])
+    return float(null_sums.mean() + 3.0 * null_sums.std())
+
+
 def extract_seqlets(tracks: Sequence[np.ndarray], window: int,
                     null_tracks: Sequence[np.ndarray],
                     label: str = "") -> list[Seqlet]:
@@ -223,8 +235,7 @@ def extract_seqlets(tracks: Sequence[np.ndarray], window: int,
     if any(len(t) < window for t in tracks):
         raise ValueError("window exceeds track length")
 
-    null_sums = np.concatenate([_window_sums(t, window) for t in null_tracks])
-    threshold = float(null_sums.mean() + 3.0 * null_sums.std())
+    threshold = _null_threshold(null_tracks, window)
 
     seqlets: list[Seqlet] = []
     for index, track in enumerate(tracks):

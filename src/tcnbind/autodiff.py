@@ -2,7 +2,7 @@
 
 Holds only the differentiable ops that the causal convolutional classifier
 and its attribution record: add, mul (dropout), matmul, relu, sum and mean
-reductions, reshape and getitem, plus ``make_op`` for the primitives defined
+reductions and getitem, plus ``make_op`` for the primitives defined
 elsewhere (the convolution and the loss), the backward pass and a
 finite-difference gradient checker. Tensors are immutable after construction
 except for gradient accumulation; the graph linking them is freed as soon as
@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -89,20 +89,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module functions do the work.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def backward(self) -> None:
-        backward(self)
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def needs_grad(t: Tensor) -> bool:
@@ -236,16 +222,6 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape ops
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    data = x.data.reshape(shape)
-
-    def backward_fn(g: Array):
-        return (g.reshape(x.shape),)
-
-    return _record(data, "reshape", (x,), backward_fn)
-
 
 def getitem(x: Tensor, key) -> Tensor:
     """Basic (non-fancy) indexing with a scatter backward."""

@@ -122,16 +122,16 @@ def receptive_field(config: ModelConfig) -> int:
     return 1 + cnn_span + tcn_span
 
 
-# The im2col kernel materializes a [B*L_out, k*C_in] window buffer; above this
-# many elements that buffer thrashes memory (and costs RSS), so larger convs
-# take the tap loop. Only a conv whose input needs no gradient, and whose
-# buffer fits, runs im2col: it has no dx path, and the tap loop's dx is
-# cheap, 0.45 ms min at B=25, L=200, C=16, k=8 with two BLAS threads and
-# 0.71 ms with one (min of 15; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
-# Its dW beats the tap loop's at a thin input: 6.7-7.3 against 14.3-15.6 ms
-# at B=64, L=1000, C_in=4, k=32 with two threads, 8.6-12.4 against
-# 9.8-13.6 ms with one; that shape's buffer (8.2M elements) is over the
-# limit, so the first layer's training backward takes the tap loop.
+# The im2col kernel materializes a [B*L_out, k*C_in] window buffer and runs
+# one GEMM over it; it has no backward. A conv whose op records no gradient
+# (none of x, W and b needs one: no-grad scoring) takes it while that buffer
+# stays within this many elements, above which the buffer thrashes memory
+# (and costs RSS). It wins that case at the first layer of validation
+# scoring: 3.2-4.2 against 5.5-7.8 ms for the tap loop at B=16, L=1000,
+# C_in=4, k=32 (min of 20 in three rounds, two BLAS threads; 2-vCPU Xeon,
+# numpy 2.4.6, OpenBLAS 0.3.31).
+# Every other conv takes the tap loop, whose block-Toeplitz backward gives
+# dx, dW and db.
 _IM2COL_ELEMENT_LIMIT = 4_000_000
 
 
@@ -143,16 +143,15 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     values of the stride-1 output there: [B, ceil(L/s), C_out].
 
     The kernel is picked by the gradients the op must produce
-    (``ad.needs_grad``, judged now): a conv whose input needs a gradient
-    takes ``_conv_taploop``, whose block-Toeplitz dx is faster than
-    im2col's; one whose input needs none (no-grad scoring, the first layer
-    in training) takes ``_conv_im2col`` while its window buffer stays
-    within ``_IM2COL_ELEMENT_LIMIT`` elements, and the tap loop beyond.
-    The input is padded once, with (k-1)*d zeros on the left and, for the
-    tap loop, zeros on the right up to its backward's block layout
-    (``_toeplitz_layout``). The backward returns ``None`` for each of x, W
-    and b that needs no gradient, so a frozen model's backward computes dx
-    only.
+    (``ad.needs_grad``, judged now). A conv that records no gradient takes
+    ``_conv_im2col`` while its window buffer stays within
+    ``_IM2COL_ELEMENT_LIMIT`` elements; every other conv takes
+    ``_conv_taploop``, whose block-Toeplitz backward is the only conv
+    backward. The input is padded once, with (k-1)*d zeros on the left and
+    zeros on the right up to that backward's block layout
+    (``_toeplitz_layout``); im2col reads only the rows it needs. The
+    backward returns ``None`` for each of x, W and b that needs no
+    gradient, so a frozen model's backward computes dx only.
     """
     _, in_ch, k = p.weights.shape
     d = p.dilation
@@ -162,18 +161,14 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
     nb, length, _ = x.shape
     pad = (k - 1) * d
-    need_dx = ad.needs_grad(x)
-    outputs = (length - 1) // p.stride + 1
-    taploop = need_dx or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT
-    if taploop:
-        g, _, phases, blocks = _toeplitz_layout(k, d, p.stride, length)
-        rows = phases * blocks * g
-    else:
-        rows = pad + length
-    xpad = np.zeros((nb, rows, in_ch), dtype=np.float32)
+    g, _, phases, blocks = _toeplitz_layout(k, d, p.stride, length)
+    xpad = np.zeros((nb, phases * blocks * g, in_ch), dtype=np.float32)
     xpad[:, pad:pad + length] = x.data
 
-    if taploop:
+    need_dx = ad.needs_grad(x)
+    recorded = need_dx or ad.needs_grad(p.weights) or ad.needs_grad(p.bias)
+    outputs = (length - 1) // p.stride + 1
+    if recorded or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT:
         y, backward_fn = _conv_taploop(xpad, p, nb, length, need_dx)
     else:
         y, backward_fn = _conv_im2col(xpad, p, nb, length)
@@ -181,10 +176,8 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
 
 def _conv_im2col(xpad, p, nb, length):
-    """Materialize sliding windows once: one GEMM forward, one for dW.
-
-    For an input that needs no gradient: the backward returns no dx.
-    """
+    """Materialize sliding windows once and run one GEMM: a forward only,
+    for an op that records no gradient, so its backward_fn is None."""
     out_ch, in_ch, k = p.weights.shape
     d, s = p.dilation, p.stride
     outputs = (length - 1) // s + 1
@@ -196,21 +189,7 @@ def _conv_im2col(xpad, p, nb, length):
     # wr[(j, c), o] = W[o, c, k-1-j] realigns taps so cols2 @ wr is causal
     wr = p.weights.data[:, :, ::-1].transpose(2, 1, 0).reshape(k * in_ch, out_ch)
     y = (cols2 @ wr + p.bias.data).reshape(nb, outputs, out_ch)
-    need_db = ad.needs_grad(p.bias)
-    cols2 = cols2 if ad.needs_grad(p.weights) else None  # kept for dW only
-
-    def backward_fn(gd: np.ndarray):
-        g2 = np.ascontiguousarray(gd).reshape(nb * outputs, out_ch)
-        dw = db = None
-        if cols2 is not None:
-            dwr = cols2.T @ g2
-            dw = np.ascontiguousarray(
-                dwr.reshape(k, in_ch, out_ch).transpose(2, 1, 0)[:, :, ::-1])
-        if need_db:
-            db = g2.sum(axis=0, dtype=np.float64).astype(np.float32)
-        return None, dw, db
-
-    return y, backward_fn
+    return y, None
 
 
 # The tap loop's forward accumulates its per-tap GEMMs one block of records
@@ -312,8 +291,8 @@ def _fold_bands(dbands, k, g, step, lead):
 
 
 def _conv_taploop(xpad, p, nb, length, need_dx):
-    """One batched GEMM per kernel tap forward; a block-Toeplitz backward.
-    Never builds the im2col buffer.
+    """One batched GEMM per kernel tap forward; a block-Toeplitz backward,
+    the only conv backward. Never builds the im2col buffer.
 
     The backward groups positions into the blocks of ``_toeplitz_layout``.
     With the banded matrices T_m of ``_toeplitz_bands``, block i of the

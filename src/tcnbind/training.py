@@ -220,7 +220,7 @@ def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
             loss_value = float(loss.data)
             if not math.isfinite(loss_value):
                 raise TrainingDiverged(epoch, batch_index, loss_value)
-            loss.backward()
+            ad.backward(loss)
             adam_step(model.params, state, lr)
             running += loss_value * len(idx)
         epoch_loss = running / n

@@ -141,4 +141,4 @@ class LinearProbe:
 
     def forward(self, x: Tensor, training: bool = False, rng=None):
         total = ad.reduce_sum(ad.mul(x, self.w), axes=(1, 2))
-        return ad.reshape(total, (x.shape[0], 1))
+        return ad.getitem(total, (slice(None), None))

@@ -10,12 +10,13 @@ from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
 from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
                                  actual_base_scores, cluster_and_build_pwm,
-                                 extract_seqlets, information_content,
+                                 extract_label_motifs, extract_seqlets,
+                                 information_content,
                                  integrated_gradients, make_shuffled_baselines,
                                  pwm_from_consensus, pwm_similarity,
                                  read_attribution_maps, read_pwms,
                                  write_attribution_maps, write_pwms)
-from tcnbind.data import DataError, one_hot
+from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, one_hot
 from tcnbind.model import TcnModel
 from tcnbind.training import ModelCheckpoint, build_model
 
@@ -176,6 +177,25 @@ class TestExtractSeqlets:
     def test_window_longer_than_track(self):
         with pytest.raises(ValueError):
             extract_seqlets([np.zeros(4)], 5, [np.zeros(10)])
+
+
+class TestExtractLabelMotifs:
+    def test_label_without_a_seqlet_is_warned(self, caplog):
+        # a zero probe's tracks are all zero: no window beats the null
+        # threshold, 0
+        ds = generate_synthetic(SyntheticSpec(6, 12, {"TF0": "CACGTG"},
+                                              marginals={"TF0": 1.0}),
+                                np.random.default_rng(0))
+        with caplog.at_level("WARNING", logger="tcnbind"):
+            pwms = extract_label_motifs(LinearProbe(np.zeros((12, 4))), ds, 0,
+                                        np.random.default_rng(1), steps=2,
+                                        baselines=2, null_count=3, window=5)
+        assert pwms == []
+        (record,) = caplog.records
+        assert record.levelname == "WARNING"
+        assert "'TF0'" in record.message
+        assert "threshold 0 of 3 shuffled" in record.message
+        assert "null_count 3" in record.message
 
 
 class TestClusterAndPwm:

@@ -16,7 +16,7 @@ def rand(shape, seed, low=-2.0, high=2.0):
 
 class TestElementwise:
     def test_add(self):
-        assert np.array_equal((Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])).data,
+        assert np.array_equal(ad.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data,
                               [4.0, 6.0])
 
     def test_mul_identity(self):
@@ -25,7 +25,7 @@ class TestElementwise:
 
     def test_incompatible_shapes(self):
         with pytest.raises(ValueError):
-            _ = Tensor(np.ones(3)) + Tensor(np.ones(4))
+            ad.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
     def test_bias_add_backward_matches_tiling(self):
         # summing over broadcast axes must equal the explicitly tiled version
@@ -173,7 +173,7 @@ class TestGradientNeeds:
         dx, dw = ad.matmul(x, w).node.backward_fn(g)
         assert dw is None
         np.testing.assert_array_equal(dx, g @ w.data.T)
-        da, db = ad.add(b, x[:, :1]).node.backward_fn(g)
+        da, db = ad.add(b, ad.getitem(x, (slice(None), slice(None, 1)))).node.backward_fn(g)
         assert da is None and db.shape == (2, 1)
 
     def test_needs_grad_follows_grad_mode(self):
@@ -194,11 +194,11 @@ class TestGradientCorrectness:
         "matmul": lambda t: ad.reduce_sum(ad.matmul(t, Tensor(rand((t.shape[1], 3), 95)))),
         "relu": lambda t: ad.reduce_sum(ad.relu(t)),
         "mean": lambda t: ad.reduce_mean(ad.mul(t, t)),
-        "reshape": lambda t: ad.reduce_sum(
-            ad.mul(ad.reshape(t, (t.size,)), Tensor(rand((t.size,), 97)))),
-        "getitem": lambda t: ad.reduce_sum(ad.mul(t[1:, :2], Tensor(rand((7, 2), 98)))),
+        "getitem": lambda t: ad.reduce_sum(ad.mul(
+            ad.getitem(t, (slice(1, None), slice(None, 2))),
+            Tensor(rand((7, 2), 98)))),
         "broadcast_add": lambda t: ad.reduce_sum(
-            ad.mul(ad.add(Tensor(rand((8, t.shape[1]), 99)), t[0]),
+            ad.mul(ad.add(Tensor(rand((8, t.shape[1]), 99)), ad.getitem(t, 0)),
                    Tensor(rand((8, t.shape[1]), 89)))),
     }
 

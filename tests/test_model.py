@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,14 @@ from conftest import (measured_receptive_field, naive_causal_conv,
 from tcnbind import autodiff as ad
 from tcnbind import model as tcn_model
 from tcnbind.autodiff import Tensor
-from tcnbind.data import one_hot
+from tcnbind.attribution import integrated_gradients, make_shuffled_baselines
+from tcnbind.data import SyntheticSpec, generate_synthetic, one_hot
 from tcnbind.model import (Conv1dParams, ModelConfig, TcnBlockParams, TcnModel,
                            parameter_shapes,
                            conv1d_causal, init_parameters, receptive_field,
                            tcn_block)
-from tcnbind.training import bce_multilabel_loss
+from tcnbind.training import (TrainConfig, bce_multilabel_loss, build_model,
+                              train)
 
 
 def conv_params(seed, out_ch, in_ch, k, dilation=1, scale=0.5):
@@ -184,16 +187,17 @@ class TestConvStride:
         (17, 2, 1), (23, 3, 2), (3, 4, 2)])
     def test_im2col_takes_the_stride_too(self, length, stride, dilation,
                                          monkeypatch):
-        x, p, strided, keep, rng = self.pair(length, stride, dilation,
-                                             needs_x_grad=False)
+        # im2col runs only ops that record no gradient: a constant input
+        # through frozen parameters, with grad mode on
+        x, p, _, keep, _ = self.pair(length, stride, dilation,
+                                     needs_x_grad=False)
+        p = TestConvGradientNeeds.frozen(p)
         calls = TestConvGradientNeeds.count_kernels(monkeypatch)
-        full, got = conv1d_causal(x, p), conv1d_causal(x, strided)
+        full = conv1d_causal(x, p)
+        got = conv1d_causal(x, replace(p, stride=stride))
         assert calls == {"_conv_im2col": 2, "_conv_taploop": 0}
+        assert full.node is None and got.node is None
         np.testing.assert_array_equal(got.data, full.data[:, keep])
-
-        (_, dw, db), (_, want_dw, want_db) = self.gradients(got, full, keep, rng)
-        self.assert_close(dw, want_dw)
-        self.assert_close(db, want_db)
 
 
 class TestTapLoopRecordBlocks:
@@ -334,8 +338,8 @@ class TestConvGradientNeeds:
         assert dx is None
         _, want_dw, want_db = conv1d_causal(
             Tensor(x, requires_grad=True), p).node.backward_fn(g)
-        np.testing.assert_allclose(dw, want_dw, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(db, want_db, rtol=1e-6)
+        np.testing.assert_array_equal(dw, want_dw)
+        np.testing.assert_array_equal(db, want_db)
 
     def test_input_needing_a_gradient_takes_the_tap_loop(self, monkeypatch):
         calls = self.count_kernels(monkeypatch)
@@ -350,8 +354,20 @@ class TestConvGradientNeeds:
         x = Tensor(np.ones((2, 10, 4), dtype=np.float32), requires_grad=True)
         with ad.no_grad():
             conv1d_causal(x, p)
-        conv1d_causal(Tensor(x.data), p)  # weight-only backward, as in cnn.0
+        conv1d_causal(Tensor(x.data), self.frozen(p))  # nothing needs a grad
         assert calls == {"_conv_im2col": 2, "_conv_taploop": 0}
+
+    @pytest.mark.parametrize("trained", ["weights", "bias"])
+    def test_weight_only_batch_takes_the_tap_loop(self, monkeypatch, trained):
+        # a constant input, as in the first layer during training: the op
+        # records dW or db, which only the tap loop's backward gives
+        calls = self.count_kernels(monkeypatch)
+        p = self.frozen(conv_params(27, out_ch=4, in_ch=4, k=3))
+        p = replace(p, **{trained: Tensor(getattr(p, trained).data,
+                                          requires_grad=True)})
+        y = conv1d_causal(Tensor(np.ones((2, 10, 4), dtype=np.float32)), p)
+        assert calls == {"_conv_im2col": 0, "_conv_taploop": 1}
+        assert y.node is not None
 
     def test_no_grad_batch_over_the_limit_takes_the_tap_loop(self, monkeypatch):
         calls = self.count_kernels(monkeypatch)
@@ -360,6 +376,48 @@ class TestConvGradientNeeds:
             conv1d_causal(Tensor(np.ones((2, 10, 4), dtype=np.float32)),
                           conv_params(28, out_ch=4, in_ch=4, k=3))
         assert calls == {"_conv_im2col": 0, "_conv_taploop": 1}
+
+
+class TestKernelCensus:
+    """The kernel every conv of one training epoch and one IG map runs, and
+    whether its op records a gradient: im2col never records one, so every
+    conv gradient comes from the tap loop's backward."""
+
+    def test_im2col_never_runs_an_op_that_records_a_gradient(self,
+                                                             monkeypatch):
+        ran = []
+        for name in ("_conv_im2col", "_conv_taploop"):
+            def tagged(*args, name=name, kernel=getattr(tcn_model, name)):
+                ran.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(tcn_model, name, tagged)
+        census = Counter()
+        conv = tcn_model.conv1d_causal
+
+        def recording(x, p):
+            y = conv(x, p)
+            census[ran.pop(), y.node is not None] += 1
+            return y
+        monkeypatch.setattr(tcn_model, "conv1d_causal", recording)
+
+        # 5 convs per forward: cnn.0, then conv1 and conv2 of two blocks
+        ds = generate_synthetic(SyntheticSpec(6, 32, {"A": "CACGTG"}),
+                                np.random.default_rng(0))
+        model = TcnModel.initialize(tiny_config(num_labels=1),
+                                    np.random.default_rng(1))
+        ckpt, _ = train(model, ds, ds, TrainConfig(batch_size=6, epochs=1,
+                                                   seed=2))
+        # one training step records all 5, cnn.0 for dW and db only; the
+        # validation pass records none
+        assert census == {("_conv_taploop", True): 5, ("_conv_im2col", False): 5}
+        census.clear()
+        baselines = make_shuffled_baselines(ds.sequences[0], 2,
+                                            np.random.default_rng(3))
+        integrated_gradients(build_model(ckpt), one_hot(ds.sequences[0]), 0,
+                             baselines, steps=3)
+        # one no-grad forward of F(x) and F(x'_b); one path forward per
+        # baseline, which records dx
+        assert census == {("_conv_taploop", True): 10, ("_conv_im2col", False): 5}
 
 
 class TestTcnBlock:
@@ -459,7 +517,7 @@ class TestModelForward:
         y[:, 0] = 1
         tiny_model.zero_grad()
         loss = bce_multilabel_loss(tiny_model.forward(x, training=False), y)
-        loss.backward()
+        ad.backward(loss)
         for name, p in tiny_model.params.items():
             assert p.grad is not None, f"{name} has no gradient"
         assert any(np.abs(p.grad).max() > 0 for p in tiny_model.params.values())
@@ -493,7 +551,7 @@ def logits_and_grads(model, x, weights, capture=None):
     xt = Tensor(x, requires_grad=True)
     logits = model.forward(xt, training=True, rng=np.random.default_rng(9),
                            capture=capture)
-    ad.reduce_sum(ad.mul(logits, Tensor(weights))).backward()
+    ad.backward(ad.reduce_sum(ad.mul(logits, Tensor(weights))))
     return logits.data, xt.grad, {n: p.grad for n, p in model.params.items()}
 
 
