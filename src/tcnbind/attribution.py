@@ -18,15 +18,18 @@ from .model import TcnModel
 
 logger = logging.getLogger(__name__)
 
+CORRELATION_CUTOFF = 0.7  # seqlet-to-seed Pearson r needed to join a cluster
+
 
 @dataclass
 class AttributionMap:
+    """One Integrated Gradients map. It holds exactly what the maps file
+    holds, so a map written by ``write_attribution_maps`` reads back field
+    for field."""
+
     label: str
     scores: np.ndarray  # [L, 4] float64
-    baseline_count: int
-    steps: int
     completeness_gap: float
-    sequence: str = ""
     sample_id: str = ""
 
 
@@ -36,7 +39,6 @@ class Seqlet:
     start: int
     length: int
     scores: np.ndarray  # actual-base attribution inside the window
-    label: str
 
     @property
     def weight(self) -> float:
@@ -67,7 +69,7 @@ def make_shuffled_baselines(sequence: str, count: int,
 def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
                          baselines: Sequence[np.ndarray], steps: int = 50,
                          label_name: Optional[str] = None,
-                         sequence: str = "", sample_id: str = "") -> AttributionMap:
+                         sample_id: str = "") -> AttributionMap:
     """Midpoint-rule path integral of the target logit's input gradient.
 
     Per baseline x', attribution_i = (x_i - x'_i) * mean over step midpoints
@@ -113,8 +115,7 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
     gap = abs(float(scores.sum()) - float(np.mean(deltas, dtype=np.float64)))
     return AttributionMap(
         label=label_name if label_name is not None else str(label_index),
-        scores=scores, baseline_count=len(baselines), steps=steps,
-        completeness_gap=gap, sequence=sequence, sample_id=sample_id)
+        scores=scores, completeness_gap=gap, sample_id=sample_id)
 
 
 class IgJob(NamedTuple):
@@ -138,8 +139,7 @@ def run_ig_jobs(model: TcnModel, jobs: Sequence[IgJob], steps: int,
     def run(job: IgJob) -> AttributionMap:
         return integrated_gradients(
             model, one_hot(job.sequence), job.label_index, job.baselines,
-            steps=steps, label_name=job.label_name, sequence=job.sequence,
-            sample_id=job.sample_id)
+            steps=steps, label_name=job.label_name, sample_id=job.sample_id)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -189,12 +189,11 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
     jobs = [IgJob(seq, label_index, label,
                   make_shuffled_baselines(seq, baselines, rng))
             for seq in real_seqs + null_seqs]
-    tracks = [actual_base_scores(m, one_hot(m.sequence))
-              for m in run_ig_jobs(model, jobs, steps, threads)]
+    tracks = [actual_base_scores(m, one_hot(job.sequence))
+              for m, job in zip(run_ig_jobs(model, jobs, steps, threads), jobs)]
 
     null_tracks = tracks[len(real_seqs):]
-    seqlets = extract_seqlets(tracks[:len(real_seqs)], window, null_tracks,
-                              label=label)
+    seqlets = extract_seqlets(tracks[:len(real_seqs)], window, null_tracks)
     if not seqlets:
         logger.warning(
             "label %r yields no seqlet, so no PWM: no window beats the null "
@@ -224,8 +223,7 @@ def _null_threshold(null_tracks: Sequence[np.ndarray], window: int) -> float:
 
 
 def extract_seqlets(tracks: Sequence[np.ndarray], window: int,
-                    null_tracks: Sequence[np.ndarray],
-                    label: str = "") -> list[Seqlet]:
+                    null_tracks: Sequence[np.ndarray]) -> list[Seqlet]:
     """Windows whose |attribution| mass exceeds mean + 3 std of the null
     windows, de-overlapped greedily by descending mass."""
     if not tracks:
@@ -247,7 +245,7 @@ def extract_seqlets(tracks: Sequence[np.ndarray], window: int,
                 kept.append(int(start))
         for start in sorted(kept):
             seqlets.append(Seqlet(index, start, window,
-                                  np.asarray(track[start:start + window]), label))
+                                  np.asarray(track[start:start + window])))
     return seqlets
 
 
@@ -282,12 +280,11 @@ def _best_alignment(seed: np.ndarray, window: np.ndarray,
 
 
 def cluster_and_build_pwm(seqlets: Sequence[Seqlet],
-                          onehots: Sequence[np.ndarray],
-                          correlation_cutoff: float = 0.7) -> list[Pwm]:
+                          onehots: Sequence[np.ndarray]) -> list[Pwm]:
     """Greedy seeding by descending seqlet weight; members join the first
     cluster whose seed aligns (either strand, shifts up to half a window)
-    above the correlation cutoff. Cluster PWMs average aligned one-hot
-    rows weighted by |attribution|."""
+    with a correlation above ``CORRELATION_CUTOFF``. Cluster PWMs average
+    aligned one-hot rows weighted by |attribution|."""
     if not seqlets:
         return []
     windows = []
@@ -305,7 +302,7 @@ def cluster_and_build_pwm(seqlets: Sequence[Seqlet],
         placed = False
         for cluster in clusters:
             corr, shift, flipped = _best_alignment(cluster["seed"], window, max_shift)
-            if corr > correlation_cutoff:
+            if corr > CORRELATION_CUTOFF:
                 cluster["members"].append((window, weight, shift, flipped))
                 placed = True
                 break
@@ -389,7 +386,6 @@ def read_attribution_maps(path) -> list[AttributionMap]:
         sample_id, label, gap = head
         maps.append(AttributionMap(label=label,
                                    scores=np.array(rows).reshape(len(rows), 4),
-                                   baseline_count=0, steps=0,
                                    completeness_gap=gap, sample_id=sample_id))
 
     with open(path, "r", encoding="ascii") as fh:

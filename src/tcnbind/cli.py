@@ -180,7 +180,7 @@ def cmd_build_dataset(args) -> int:
         if name in peak_sets:
             raise UsageError(f"duplicate peak label {name!r}")
         with dat.open_text(path, "utf-8") as fh:
-            peak_sets[name] = dat.parse_bed(fh, tf=name)
+            peak_sets[name] = dat.parse_bed(fh)
     with dat.open_text(args.genome, "utf-8") as fh:
         genome = dat.parse_fasta(fh)
     ds = dat.build_dataset(peak_sets, genome, window=args.window)

@@ -32,7 +32,6 @@ class GenomicInterval:
     chrom: str
     start: int
     end: int
-    tf: str = ""
 
     def __post_init__(self):
         if self.start < 0 or self.start >= self.end:
@@ -80,7 +79,7 @@ def _lines(stream) -> Iterable[str]:
     return stream
 
 
-def parse_bed(stream, tf: str = "") -> list[GenomicInterval]:
+def parse_bed(stream) -> list[GenomicInterval]:
     """Read tab-separated intervals; track/browser/# lines are skipped."""
     intervals = []
     for lineno, raw in enumerate(_lines(stream), start=1):
@@ -98,7 +97,7 @@ def parse_bed(stream, tf: str = "") -> list[GenomicInterval]:
             raise DataError(f"line {lineno}: non-integer coordinates") from None
         if start < 0 or start >= end:
             raise DataError(f"line {lineno}: start {start} must precede end {end}")
-        intervals.append(GenomicInterval(parts[0], start, end, tf))
+        intervals.append(GenomicInterval(parts[0], start, end))
     return intervals
 
 

@@ -4,7 +4,7 @@ non-interpolated average precision, and rank-based AU-ROC."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,6 @@ class MetricsReport:
     averages: dict[str, tuple[float, float, float]]
     summary: dict[str, float]
     threshold: float
-    excluded_labels: list[str] = field(default_factory=list)
 
 
 def metrics_report(scores: np.ndarray, targets: np.ndarray,
@@ -212,7 +211,7 @@ def metrics_report(scores: np.ndarray, targets: np.ndarray,
         pred = scores[:, 0] >= threshold
         summary["accuracy"] = float((pred == (targets[:, 0] == 1)).mean())
     return MetricsReport(list(label_names), per_label, averages, summary,
-                         threshold, excluded)
+                         threshold)
 
 
 def render_report(report: MetricsReport) -> str:

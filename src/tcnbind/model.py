@@ -28,15 +28,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import BASES
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class ModelConfig:
+    """The model's architecture settings. Inputs are one-hot DNA, so the
+    input width is ``len(data.BASES)`` (4), not a config value."""
+
     input_length: int
     num_labels: int
-    alphabet_size: int = 4
     cnn_layers: int = 2
     cnn_kernels: int = 32
     tcn_blocks: int = 6
@@ -48,8 +51,8 @@ class ModelConfig:
     classifier_input: str = "last"  # "last": final-position tap; "mean": temporal average
 
     def __post_init__(self):
-        for name in ("input_length", "num_labels", "alphabet_size",
-                     "cnn_kernels", "tcn_channels", "kernel_size", "mlp_hidden"):
+        for name in ("input_length", "num_labels", "cnn_kernels",
+                     "tcn_channels", "kernel_size", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cnn_layers < 0 or self.tcn_blocks < 0:
@@ -425,7 +428,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     block gets a 1x1 projection only where its channel count changes.
     """
     layers: list[tuple[str, tuple[int, ...], int]] = []  # name, weight, outputs
-    channels = config.alphabet_size
+    channels = len(BASES)
     for i in range(config.cnn_layers):
         layers.append((f"cnn.{i}", (config.cnn_kernels, channels,
                                     config.effective_cnn_kernel_size),
@@ -550,9 +553,9 @@ class TcnModel:
         full-resolution view the causality checks read.
         """
         cfg = self.config
-        if x.shape[1:] != (cfg.input_length, cfg.alphabet_size):
+        if x.shape[1:] != (cfg.input_length, len(BASES)):
             raise ValueError(
-                f"expected input [B, {cfg.input_length}, {cfg.alphabet_size}], "
+                f"expected input [B, {cfg.input_length}, {len(BASES)}], "
                 f"got {x.shape}")
 
         h = x

@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"TCNB"
 CHECKPOINT_VERSION = 1
+PREDICT_BATCH = 256
 
 
 class TrainingDiverged(RuntimeError):
@@ -134,23 +135,16 @@ def lr_schedule(epoch: int, total_epochs: int, lr_max: float,
     return 0.5 * lr_max * (1.0 + math.cos(math.pi * progress))
 
 
-def predict_scores(model: TcnModel, inputs: np.ndarray,
-                   batch_size: int = 256) -> np.ndarray:
-    """Sigmoid scores [N, k] from a frozen model (dropout off, no graph)."""
+def predict_scores(model: TcnModel, inputs: np.ndarray) -> np.ndarray:
+    """Sigmoid scores [N, k] from a frozen model (dropout off, no graph),
+    ``PREDICT_BATCH`` rows per forward."""
     outputs = []
     with ad.no_grad():
-        for start in range(0, len(inputs), batch_size):
-            logits = model.forward(Tensor(inputs[start:start + batch_size]),
+        for start in range(0, len(inputs), PREDICT_BATCH):
+            logits = model.forward(Tensor(inputs[start:start + PREDICT_BATCH]),
                                    training=False)
             outputs.append(_sigmoid_stable(logits.data))
     return np.concatenate(outputs) if outputs else np.zeros((0, model.config.num_labels))
-
-
-def monitored_value(model: TcnModel, ds: EncodedDataset, monitor: str) -> float:
-    if monitor != "micro_ap":
-        raise ValueError(f"unknown monitor {monitor!r}")
-    scores = predict_scores(model, ds.onehot())
-    return average_precision(scores.reshape(-1), ds.labels.reshape(-1))
 
 
 @dataclass
@@ -208,43 +202,48 @@ def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
     best_epoch = -1
     stale = 0
 
-    for epoch in range(cfg.epochs):
-        lr = lr_schedule(epoch, cfg.epochs, cfg.lr_max, cfg.warmup_frac)
-        order = rng.permutation(n)
-        running = 0.0
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            model.zero_grad()
-            logits = model.forward(Tensor(inputs[idx]), training=True, rng=rng)
-            loss = bce_multilabel_loss(logits, targets[idx])
-            loss_value = float(loss.data)
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(epoch, batch_index, loss_value)
-            ad.backward(loss)
-            adam_step(model.params, state, lr)
-            running += loss_value * len(idx)
-        epoch_loss = running / n
+    # a diverging run overflows in the forward and backward before its
+    # loss turns non-finite; the loss check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = lr_schedule(epoch, cfg.epochs, cfg.lr_max, cfg.warmup_frac)
+            order = rng.permutation(n)
+            running = 0.0
+            for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start:start + cfg.batch_size]
+                model.zero_grad()
+                logits = model.forward(Tensor(inputs[idx]), training=True, rng=rng)
+                loss = bce_multilabel_loss(logits, targets[idx])
+                loss_value = float(loss.data)
+                if not math.isfinite(loss_value):
+                    raise TrainingDiverged(epoch, batch_index, loss_value)
+                ad.backward(loss)
+                adam_step(model.params, state, lr)
+                running += loss_value * len(idx)
+            epoch_loss = running / n
 
-        if monitor_fn is not None:
-            value = float(monitor_fn(model, val_ds))
-        else:
-            value = monitored_value(model, val_ds, cfg.monitor)
-        history.append({"epoch": epoch, "loss": epoch_loss, "lr": lr,
-                        cfg.monitor: value})
-        logger.info("epoch %d: loss %.5f lr %.6f %s %.5f",
-                    epoch, epoch_loss, lr, cfg.monitor, value)
+            if monitor_fn is not None:
+                value = float(monitor_fn(model, val_ds))
+            else:  # "micro_ap", the only monitor TrainConfig takes
+                scores = predict_scores(model, val_ds.onehot())
+                value = average_precision(scores.reshape(-1),
+                                          val_ds.labels.reshape(-1))
+            history.append({"epoch": epoch, "loss": epoch_loss, "lr": lr,
+                            cfg.monitor: value})
+            logger.info("epoch %d: loss %.5f lr %.6f %s %.5f",
+                        epoch, epoch_loss, lr, cfg.monitor, value)
 
-        if value > best_value:
-            best_value = value
-            best_params = model.parameter_arrays()
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                logger.info("early stop at epoch %d (no improvement for %d epochs)",
-                            epoch, stale)
-                break
+            if value > best_value:
+                best_value = value
+                best_params = model.parameter_arrays()
+                best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    logger.info("early stop at epoch %d (no improvement for %d epochs)",
+                                epoch, stale)
+                    break
 
     assert best_params is not None
     model.load_arrays(best_params)

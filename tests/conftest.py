@@ -80,7 +80,7 @@ def tiny_config(**overrides):
 model_configs = st.builds(
     ModelConfig,
     input_length=st.integers(1, 5000), num_labels=st.integers(1, 20),
-    alphabet_size=st.integers(1, 8), cnn_layers=st.integers(0, 4),
+    cnn_layers=st.integers(0, 4),
     cnn_kernels=st.integers(1, 64), tcn_blocks=st.integers(0, 8),
     tcn_channels=st.integers(1, 64), kernel_size=st.integers(1, 64),
     cnn_kernel_size=st.none() | st.integers(1, 64),

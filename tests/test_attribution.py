@@ -117,25 +117,24 @@ class TestIntegratedGradients:
     def test_metadata_recorded(self):
         out = integrated_gradients(self.probe, self.x, 0,
                                    [self.baseline, self.baseline], steps=9,
-                                   label_name="MYC", sequence="ACGT" * 3,
-                                   sample_id="s0")
-        assert (out.baseline_count, out.steps, out.label) == (2, 9, "MYC")
+                                   label_name="MYC", sample_id="s0")
+        assert (out.label, out.sample_id) == ("MYC", "s0")
 
 
 class TestActualBaseScores:
     def test_projection(self):
-        m = AttributionMap("L", np.array([[5.0, 1.0, 1.0, 1.0]]), 1, 1, 0.0)
+        m = AttributionMap("L", np.array([[5.0, 1.0, 1.0, 1.0]]), 0.0)
         assert actual_base_scores(m, one_hot("A")).tolist() == [5.0]
 
     def test_n_position_is_zero(self):
-        m = AttributionMap("L", np.array([[5.0, 1.0, 1.0, 1.0]]), 1, 1, 0.0)
+        m = AttributionMap("L", np.array([[5.0, 1.0, 1.0, 1.0]]), 0.0)
         assert actual_base_scores(m, one_hot("N")).tolist() == [0.0]
 
     def test_total_equals_observed_entries(self):
         rng = np.random.default_rng(3)
         seq = "ACGTACGTAC"
         x = one_hot(seq)
-        m = AttributionMap("L", rng.normal(size=(10, 4)), 1, 1, 0.0)
+        m = AttributionMap("L", rng.normal(size=(10, 4)), 0.0)
         total = actual_base_scores(m, x).sum()
         assert total == pytest.approx((m.scores * x).sum())
 
@@ -199,8 +198,8 @@ class TestExtractLabelMotifs:
 
 
 class TestClusterAndPwm:
-    def seqlet_at(self, sample, start, scores, label="M"):
-        return Seqlet(sample, start, len(scores), np.asarray(scores, float), label)
+    def seqlet_at(self, sample, start, scores):
+        return Seqlet(sample, start, len(scores), np.asarray(scores, float))
 
     def test_identical_seqlets_one_sharp_cluster(self):
         onehots = [one_hot("AAACACGTGAAA") for _ in range(4)]
@@ -262,7 +261,7 @@ class TestPwmSimilarity:
 class TestFileFormats:
     def test_attribution_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        maps = [AttributionMap("MYC", rng.normal(size=(5, 4)), 3, 10, 0.0123,
+        maps = [AttributionMap("MYC", rng.normal(size=(5, 4)), 0.0123,
                                sample_id=f"s{i}") for i in range(2)]
         path = tmp_path / "attr.txt"
         write_attribution_maps(maps, path, header_lines=["provenance"])
@@ -276,7 +275,7 @@ class TestFileFormats:
     def test_attribution_round_trip_with_spaced_sample_id(self, tmp_path):
         # dataset origins come from a TSV field and may hold spaces
         ids = ["chr1 a:0-24#0", "two  spaces#1"]
-        maps = [AttributionMap("TF0", np.zeros((3, 4)), 1, 1, 0.5, sample_id=i)
+        maps = [AttributionMap("TF0", np.zeros((3, 4)), 0.5, sample_id=i)
                 for i in ids]
         path = tmp_path / "attr.txt"
         write_attribution_maps(maps, path)
@@ -290,7 +289,7 @@ class TestFileFormats:
         max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_any_maps_read_back(self, tmp_path_factory, fields):
-        maps = [AttributionMap(label, scores, 1, 1, gap, sample_id=sid)
+        maps = [AttributionMap(label, scores, gap, sample_id=sid)
                 for sid, label, scores, gap in fields]
         path = tmp_path_factory.mktemp("maps") / "attr.txt"
         write_attribution_maps(maps, path, header_lines=["provenance"])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -187,9 +188,13 @@ class TestExitCodes:
 
     def test_divergence_is_numerical_abort(self, tmp_path, synth_file,
                                            pipeline_config):
-        assert run("train", "--dataset", synth_file, "--config", pipeline_config,
-                   "--set", "lr_max=1e30", "--set", "epochs=4",
-                   "--out", tmp_path / "x.ckpt") == 3
+        # the non-finite loss is reported once; the overflows before it
+        # raise no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("train", "--dataset", synth_file, "--config",
+                       pipeline_config, "--set", "lr_max=1e30",
+                       "--set", "epochs=4", "--out", tmp_path / "x.ckpt") == 3
 
     def test_conflicting_derived_key_is_data_error(self, tmp_path, synth_file):
         assert run("train", "--dataset", synth_file, "--set", "num_labels=7",
@@ -251,6 +256,8 @@ EXIT_CASES = {
                                   "--co-occur", "TF0=0.5", "--out", "{out}"]),
     "zero_kernel_size": (1, ["train", "--dataset", "{root}/ds.tsv",
                              "--set", "kernel_size=0", "--out", "{out}"]),
+    "alphabet_size": (1, ["train", "--dataset", "{root}/ds.tsv",
+                          "--set", "alphabet_size=5", "--out", "{out}"]),
     "unknown_monitor": (1, ["train", "--dataset", "{root}/ds.tsv",
                             "--set", "monitor=auc", "--out", "{out}"]),
     "negative_lr_max": (1, ["train", "--dataset", "{root}/ds.tsv",

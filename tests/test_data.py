@@ -39,10 +39,6 @@ class TestParseBed:
         with pytest.raises(DataError):
             parse_bed("chr1\t100")
 
-    def test_tf_tag(self):
-        (iv,) = parse_bed("chr1\t0\t5", tf="MYC")
-        assert iv.tf == "MYC"
-
 
 class TestParseFasta:
     def test_case_folding(self):
@@ -86,18 +82,18 @@ def interval_sets(max_tfs=3, max_intervals=4, span=60):
 class TestIntersectPeaks:
     def test_worked_example(self):
         regions = intersect_peaks({
-            "TF1": [GenomicInterval("c", 100, 200, "TF1")],
-            "TF2": [GenomicInterval("c", 150, 250, "TF2")]})
+            "TF1": [GenomicInterval("c", 100, 200)],
+            "TF2": [GenomicInterval("c", 150, 250)]})
         got = [(r.start, r.end, set(r.labels)) for r in regions]
         assert got == [(100, 150, {"TF1"}), (150, 200, {"TF1", "TF2"}),
                        (200, 250, {"TF2"})]
 
     def test_single_peak_single_label(self):
-        regions = intersect_peaks({"A": [GenomicInterval("c", 5, 9, "A")]})
+        regions = intersect_peaks({"A": [GenomicInterval("c", 5, 9)]})
         assert [(r.start, r.end, set(r.labels)) for r in regions] == [(5, 9, {"A"})]
 
     def test_triple_overlap_point(self):
-        sets = {tf: [GenomicInterval("c", s, e, tf)]
+        sets = {tf: [GenomicInterval("c", s, e)]
                 for tf, (s, e) in zip("ABC", [(0, 10), (5, 15), (8, 20)])}
         regions = intersect_peaks(sets)
         per_base = coverage_by_base(sets, "c", 20)
@@ -109,7 +105,7 @@ class TestIntersectPeaks:
     @given(interval_sets())
     @settings(max_examples=120, deadline=None)
     def test_matches_per_base_coverage_oracle(self, raw):
-        peak_sets = {tf: [GenomicInterval("c", s, e, tf) for s, e in ivs]
+        peak_sets = {tf: [GenomicInterval("c", s, e) for s, e in ivs]
                      for tf, ivs in raw.items()}
         regions = intersect_peaks(peak_sets)
         # regions are sorted, disjoint, label sets non-empty
@@ -124,12 +120,12 @@ class TestIntersectPeaks:
 
     def test_adjacent_same_label_regions_merge(self):
         regions = intersect_peaks({
-            "A": [GenomicInterval("c", 0, 5, "A"), GenomicInterval("c", 5, 9, "A")]})
+            "A": [GenomicInterval("c", 0, 5), GenomicInterval("c", 5, 9)]})
         assert [(r.start, r.end) for r in regions] == [(0, 9)]
 
     def test_multiple_chromosomes(self):
         regions = intersect_peaks({
-            "A": [GenomicInterval("c2", 0, 4, "A"), GenomicInterval("c1", 2, 6, "A")]})
+            "A": [GenomicInterval("c2", 0, 4), GenomicInterval("c1", 2, 6)]})
         assert [(r.chrom, r.start) for r in regions] == [("c1", 2), ("c2", 0)]
 
 

@@ -301,6 +301,20 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="kernel_size expects int"):
             load_checkpoint(path)
 
+    def test_checkpoint_with_alphabet_size_line_still_loads(self, tmp_path):
+        # checkpoints written while the input width was a config key carry
+        # an "alphabet_size=4" line; it now reads back as metadata
+        _, ckpt = self.make_checkpoint()
+        plain, old = tmp_path / "plain.ckpt", tmp_path / "old.ckpt"
+        save_checkpoint(ckpt, plain)
+        save_checkpoint(ckpt, old, extra={"alphabet_size": "4"})
+        loaded = load_checkpoint(old)
+        assert loaded.config == ckpt.config
+        assert loaded.metadata["alphabet_size"] == "4"
+        x = overfit_dataset(n=8).onehot()
+        want = predict_scores(build_model(load_checkpoint(plain)), x)
+        assert predict_scores(build_model(loaded), x).tobytes() == want.tobytes()
+
     def test_loaded_model_is_frozen(self):
         _, ckpt = self.make_checkpoint()
         assert not any(p.requires_grad for p in build_model(ckpt).params.values())
