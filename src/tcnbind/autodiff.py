@@ -1,16 +1,21 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
 Holds only the differentiable ops that the causal convolutional classifier
-and its attribution record: add, mul (dropout), matmul, relu, sum and mean
-reductions and getitem, plus ``make_op`` for the primitives defined
-elsewhere (the convolution and the loss), the backward pass and a
-finite-difference gradient checker. Tensors are immutable after construction
-except for gradient accumulation; the graph linking them is freed as soon as
-``backward`` has replayed it.
+and its attribution record: add, matmul, relu, sum and mean reductions and
+getitem, plus ``make_op`` for the primitives defined elsewhere (the
+convolution, dropout and the loss), the backward pass and a
+finite-difference gradient checker. Tensors are immutable after
+construction except for gradient accumulation.
+
+``backward`` leaves gradients on leaves only: the tensors that no recorded
+op produced (parameters, an attribution input) and the scalar it started
+from. It frees the graph as it replays it, so each intermediate tensor, its
+gradient and its op's saved state are released once its op has run
+backward, not when the whole pass returns.
 
 A recorded op's ``backward_fn(g)`` returns one gradient per parent, and
 ``None`` for a parent that needs no gradient (``needs_grad`` false when the
-op was recorded): a frozen weight or a constant dropout mask costs no work.
+op was recorded): a frozen weight costs no work.
 """
 
 from __future__ import annotations
@@ -51,9 +56,10 @@ class Node:
 class Tensor:
     """Dense n-dimensional array of float32 values, optionally differentiable.
 
-    ``data`` is row-major float32. ``grad`` mirrors ``data``'s shape once
-    ``backward`` has run. ``node`` links into the (acyclic) graph of
-    recorded operations and is cleared after backward.
+    ``data`` is row-major float32. ``grad`` mirrors ``data``'s shape on a
+    leaf (``node`` None) once ``backward`` has run through it. ``node``
+    links into the (acyclic) graph of recorded operations and is cleared
+    as backward replays it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "exact")
@@ -128,17 +134,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(g, b.shape) if need_b else None)
 
     return _record(data, "add", (a, b), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    need_a, need_b = needs_grad(a), needs_grad(b)
-
-    def backward_fn(g: Array):
-        return (_unbroadcast(g * b.data, a.shape) if need_a else None,
-                _unbroadcast(g * a.data, b.shape) if need_b else None)
-
-    return _record(data, "mul", (a, b), backward_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -245,10 +240,15 @@ def make_op(data: Array, op: str, parents: Iterable[Tensor],
 # backward pass
 
 def backward(out: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from ``out``.
+    """Accumulate into ``grad`` of every requires-grad leaf reachable from
+    ``out``.
 
-    ``out`` must hold exactly one element; its own gradient seeds to 1. The
-    recorded graph is replayed once in reverse topological order and freed.
+    ``out`` must hold exactly one element; its own gradient seeds to 1 and
+    stays. The recorded graph is replayed once in reverse topological
+    order. Each tensor leaves the tape once replayed, and a tensor an op
+    produced loses its ``node`` and its ``grad`` as soon as that op's
+    ``backward_fn`` has run: what the caller no longer holds is freed
+    during the pass. Only leaves keep the gradients they receive.
     """
     if out.data.size != 1:
         raise ValueError(f"backward needs a scalar, got shape {out.shape}")
@@ -271,7 +271,8 @@ def backward(out: Tensor) -> None:
                     stack.append((parent, False))
 
     out.grad = np.ones_like(out.data)
-    for tensor in reversed(tape):
+    while tape:
+        tensor = tape.pop()
         node = tensor.node
         if node is None:
             continue
@@ -279,6 +280,8 @@ def backward(out: Tensor) -> None:
         if tensor.grad is None:
             continue
         grads = node.backward_fn(tensor.grad)
+        if tensor is not out:
+            tensor.grad = None
         for parent, grad in zip(node.parents, grads):
             if grad is None or not parent.requires_grad:
                 continue

@@ -150,11 +150,10 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     ``_conv_im2col`` while its window buffer stays within
     ``_IM2COL_ELEMENT_LIMIT`` elements; every other conv takes
     ``_conv_taploop``, whose block-Toeplitz backward is the only conv
-    backward. The input is padded once, with (k-1)*d zeros on the left and
-    zeros on the right up to that backward's block layout
-    (``_toeplitz_layout``); im2col reads only the rows it needs. The
-    backward returns ``None`` for each of x, W and b that needs no
-    gradient, so a frozen model's backward computes dx only.
+    backward. The forward pads the input with (k-1)*d zeros on the left, a
+    temporary that no backward keeps. The backward returns ``None`` for
+    each of x, W and b that needs no gradient, so a frozen model's backward
+    computes dx only.
     """
     _, in_ch, k = p.weights.shape
     d = p.dilation
@@ -164,15 +163,14 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
     nb, length, _ = x.shape
     pad = (k - 1) * d
-    g, _, phases, blocks = _toeplitz_layout(k, d, p.stride, length)
-    xpad = np.zeros((nb, phases * blocks * g, in_ch), dtype=np.float32)
-    xpad[:, pad:pad + length] = x.data
+    xpad = np.zeros((nb, pad + length, in_ch), dtype=np.float32)
+    xpad[:, pad:] = x.data
 
     need_dx = ad.needs_grad(x)
     recorded = need_dx or ad.needs_grad(p.weights) or ad.needs_grad(p.bias)
     outputs = (length - 1) // p.stride + 1
     if recorded or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT:
-        y, backward_fn = _conv_taploop(xpad, p, nb, length, need_dx)
+        y, backward_fn = _conv_taploop(x.data, xpad, p, need_dx)
     else:
         y, backward_fn = _conv_im2col(xpad, p, nb, length)
     return ad.make_op(y, "conv1d_causal", (x, p.weights, p.bias), backward_fn)
@@ -241,8 +239,8 @@ def _toeplitz_layout(k, d, s, length):
     conv, whose output gradient it spreads to every position. Positions go
     in blocks of g, a multiple of ``step``. A dilation-d conv is d
     interleaved dilation-1 convs, its phases: phase r holds the positions
-    r, r+d, r+2d, ... The padded input, (k-1)*d zeros then x then zeros,
-    has phases * blocks * g rows, and each phase's last M = (g+k-2)//g
+    r, r+d, r+2d, ... The input as dW stages it, (k-1)*d zeros then x then
+    zeros, has phases * blocks * g rows, and each phase's last M = (g+k-2)//g
     blocks lie past its last output's block: a block of outputs reads its
     own input block and the next M.
     """
@@ -255,13 +253,13 @@ def _toeplitz_layout(k, d, s, length):
     return g, step, d, blocks
 
 
-def _phase_major(a, phases, rows):
-    """[B, n, C] to [B, phases * rows, C], zero-filled: row r*rows + u
-    holds a[:, r + phases*u]."""
+def _phase_major(a, phases, rows, offset=0):
+    """[B, n, C] to [B, phases * rows, C], zero-filled: row
+    r*rows + offset + u holds a[:, r + phases*u]."""
     out = np.zeros((a.shape[0], phases, rows, a.shape[2]), dtype=np.float32)
     for r in range(phases):
         part = a[:, r::phases]
-        out[:, r, :part.shape[1]] = part
+        out[:, r, offset:offset + part.shape[1]] = part
     return out.reshape(a.shape[0], phases * rows, a.shape[2])
 
 
@@ -293,9 +291,10 @@ def _fold_bands(dbands, k, g, step, lead):
     return np.ascontiguousarray(dwr[::-1].transpose(2, 1, 0))
 
 
-def _conv_taploop(xpad, p, nb, length, need_dx):
-    """One batched GEMM per kernel tap forward; a block-Toeplitz backward,
-    the only conv backward. Never builds the im2col buffer.
+def _conv_taploop(x, xpad, p, need_dx):
+    """One batched GEMM per kernel tap forward over ``xpad``, the input
+    array ``x`` [B, L, C_in] after (k-1)*d zeros; a block-Toeplitz
+    backward, the only conv backward. Never builds the im2col buffer.
 
     The backward groups positions into the blocks of ``_toeplitz_layout``.
     With the banded matrices T_m of ``_toeplitz_bands``, block i of the
@@ -304,8 +303,13 @@ def _conv_taploop(xpad, p, nb, length, need_dx):
     row of a chunk of records, back onto the k taps (``_fold_bands``). Each
     record's (and phase's) last M blocks of G are zero, which keeps records
     and phases apart. The backward computes dx only when ``need_dx``.
+
+    For dW the backward keeps ``x``, the array its op's input tensor
+    already holds, and pads each chunk of records into the block layout
+    just before that chunk's GEMMs; ``xpad`` is a forward temporary.
     """
-    out_ch, in_ch, k = p.weights.shape
+    nb, length, in_ch = x.shape
+    out_ch, _, k = p.weights.shape
     d, s = p.dilation, p.stride
     outputs = (length - 1) // s + 1
     # tap j multiplies xpad[:, t + j*d, :] by W[:, :, k-1-j]^T at every
@@ -322,7 +326,7 @@ def _conv_taploop(xpad, p, nb, length, need_dx):
         for j in range(k):
             yr += np.matmul(xr[:, windows[j], :], taps[j])
     need_db = ad.needs_grad(p.bias)
-    saved = xpad if ad.needs_grad(p.weights) else None  # kept for dW only
+    saved = x if ad.needs_grad(p.weights) else None  # kept for dW only
     g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
     band = (g + k - 2) // g  # M
     lead = (length - 1) % step  # first position the backward emits
@@ -350,9 +354,9 @@ def _conv_taploop(xpad, p, nb, length, need_dx):
             gr = _phase_major(gr, phases, blocks * (g // step))
             n = len(gr) * rows
             if saved is not None:
-                xr = saved[r0:r0 + per]
-                xb = (xr if phases == 1 else
-                      _phase_major(xr, phases, blocks * g)).reshape(n, -1)
+                # (k-1) zeros per phase, then x[t] at row k-1 + t // phases
+                xb = _phase_major(saved[r0:r0 + per], phases, blocks * g,
+                                  k - 1).reshape(n, -1)
                 gf = gr.reshape(n, -1)
                 for m in range(band + 1):
                     dbands[m] += xb[m:].T @ gf[:n - m]
@@ -378,7 +382,11 @@ def _conv_taploop(xpad, p, nb, length, need_dx):
 def dropout(x: Tensor, ratio: float, training: bool,
             rng: Optional[np.random.Generator],
             length: Optional[int] = None, stride: int = 1) -> Tensor:
-    """Inverted dropout with a mask drawn from ``rng``.
+    """Inverted dropout with a mask drawn from ``rng``: its own op, whose
+    node keeps only the bool mask. The float32 scale it multiplies by,
+    mask / (1 - ratio), is rebuilt from it in the forward and again in the
+    backward, the same expression both times, so values and gradients keep
+    their bits.
 
     A decimated ``x`` [B, n, C] holds every ``stride``-th of ``length``
     positions, ending at the last. Its mask is drawn for all ``length``
@@ -394,8 +402,16 @@ def dropout(x: Tensor, ratio: float, training: bool,
     else:
         draws = rng.random((x.shape[0], length, x.shape[2]),
                            dtype=np.float32)[:, (length - 1) % stride::stride]
-    keep = (draws >= ratio).astype(np.float32) / np.float32(1.0 - ratio)
-    return ad.mul(x, Tensor(keep))
+    mask = draws >= ratio
+    del draws  # full-resolution when decimated: 8 MB at B=64, L=1000
+
+    def keep():
+        return mask.astype(np.float32) / np.float32(1.0 - ratio)
+
+    def backward_fn(g):
+        return (g * keep(),)
+
+    return ad.make_op(x.data * keep(), "dropout", (x,), backward_fn)
 
 
 def tcn_block(x: Tensor, p: TcnBlockParams, training: bool = False,

@@ -285,16 +285,24 @@ def build_model(ckpt: ModelCheckpoint) -> TcnModel:
 #   | u32 tensor count | per tensor: u16 name length, name, u8 ndim,
 #     u32 dims[], f32 payload row-major
 #
-# The config text is one key=value pair per line and includes the label
-# names comma-separated. Any bytes after the last tensor are an error.
+# The config text is one key=value pair per line, each key once, and
+# includes the label names comma-separated. Any bytes after the last tensor
+# are an error.
 
 def save_checkpoint(ckpt: ModelCheckpoint, path,
                     extra: Optional[dict[str, str]] = None) -> None:
-    lines = [f"{name}={format_field(value)}"
-             for name, value in asdict(ckpt.config).items()]
+    """Write ``ckpt`` to ``path``, with ``extra`` key=value pairs after its
+    metadata. Raises ValueError when the metadata or ``extra`` names a
+    ``ModelConfig`` field or ``label_names``, whose lines the file already
+    holds."""
+    config = asdict(ckpt.config)
+    metadata = {**ckpt.metadata, **(extra or {})}
+    clash = [key for key in metadata if key in config or key == "label_names"]
+    if clash:
+        raise ValueError(f"checkpoint metadata names config keys {clash}")
+    lines = [f"{name}={format_field(value)}" for name, value in config.items()]
     lines.append("label_names=" + ",".join(ckpt.label_names))
-    for key, value in {**ckpt.metadata, **(extra or {})}.items():
-        lines.append(f"{key}={value}")
+    lines += [f"{key}={value}" for key, value in metadata.items()]
     block = ("\n".join(lines) + "\n").encode("utf-8")
 
     buf = bytearray()
@@ -350,6 +358,8 @@ def load_checkpoint(path) -> ModelCheckpoint:
         if "=" not in line:
             raise DataError(f"malformed config line {line!r}")
         key, value = line.split("=", 1)
+        if key in pairs:
+            raise DataError(f"{path}: checkpoint config repeats {key!r}")
         pairs[key] = value
 
     texts = {}

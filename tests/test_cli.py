@@ -16,7 +16,8 @@ from tcnbind.data import (EncodedDataset, SyntheticSpec, generate_synthetic,
 from tcnbind.model import TcnModel, format_field
 from tcnbind.training import ModelCheckpoint, load_checkpoint, save_checkpoint
 
-from conftest import model_configs, tiny_config, train_configs
+from conftest import (model_configs, rewrite_checkpoint_config, tiny_config,
+                      train_configs)
 
 
 def run(*argv):
@@ -239,6 +240,9 @@ def bad_inputs(tmp_path_factory):
         blob.replace(b"\nkernel_size=3\n", b"\nkernel_size=x\n", 1))
     (root / "non_utf8.ckpt").write_bytes(
         blob.replace(b"label_names=", b"label_name\xff=", 1))
+    (root / "repeated_key.ckpt").write_bytes(blob)
+    rewrite_checkpoint_config(root / "repeated_key.ckpt",
+                              lambda block: block + b"classifier_input=mean\n")
     ckpt.params["tcn.0.conv1.weight"] = np.zeros((8, 8, 5), dtype=np.float32)
     save_checkpoint(ckpt, root / "wide.ckpt")
     (root / "non_ascii.tsv").write_bytes(
@@ -341,6 +345,9 @@ EXIT_CASES = {
     "checkpoint_kernel_size_x": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
                                      "--model", "{root}/kernel_x.ckpt",
                                      "--out", "{out}"]),
+    "checkpoint_repeated_key": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                    "--model", "{root}/repeated_key.ckpt",
+                                    "--out", "{out}"]),
     "checkpoint_wrong_shape": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
                                    "--model", "{root}/wide.ckpt",
                                    "--out", "{out}"]),
@@ -380,7 +387,8 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                "non_ascii_dataset": "non_ascii.tsv",
                "non_ascii_config": "non_ascii.cfg",
                "non_utf8_model": "non_utf8.ckpt",
-               "checkpoint_kernel_size_x": "kernel_x.ckpt"}
+               "checkpoint_kernel_size_x": "kernel_x.ckpt",
+               "checkpoint_repeated_key": "repeated_key.ckpt"}
 
 
 @pytest.mark.parametrize("case", list(EXIT_CASES))

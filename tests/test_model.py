@@ -1,11 +1,12 @@
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import (measured_receptive_field, naive_causal_conv,
+from conftest import (measured_receptive_field, mul_const, naive_causal_conv,
                       reference_forward, tiny_config)
 
 from tcnbind import autodiff as ad
@@ -98,10 +99,10 @@ class TestConv1dCausal:
         x = Tensor(np.random.default_rng(12).uniform(-1, 1, (1, 8, 2)).astype(np.float32))
 
         err_x = ad.finite_difference_check(
-            lambda t: ad.reduce_sum(ad.mul(conv1d_causal(t, p),
-                                           Tensor(np.random.default_rng(13)
-                                                  .uniform(-1, 1, (1, 8, 3))
-                                                  .astype(np.float32)))),
+            lambda t: ad.reduce_sum(mul_const(conv1d_causal(t, p),
+                                              Tensor(np.random.default_rng(13)
+                                                     .uniform(-1, 1, (1, 8, 3))
+                                                     .astype(np.float32)))),
             x, eps=1e-3)
         assert err_x < 1e-3
 
@@ -551,7 +552,7 @@ def logits_and_grads(model, x, weights, capture=None):
     xt = Tensor(x, requires_grad=True)
     logits = model.forward(xt, training=True, rng=np.random.default_rng(9),
                            capture=capture)
-    ad.backward(ad.reduce_sum(ad.mul(logits, Tensor(weights))))
+    ad.backward(ad.reduce_sum(mul_const(logits, Tensor(weights))))
     return logits.data, xt.grad, {n: p.grad for n, p in model.params.items()}
 
 
@@ -628,11 +629,103 @@ class TestDecimatedForward:
         def loss(t):
             logits = model.forward(t, training=True,
                                    rng=np.random.default_rng(9))
-            return ad.reduce_sum(ad.mul(logits, Tensor(weights)))
+            return ad.reduce_sum(mul_const(logits, Tensor(weights)))
 
         # float32 forward: a smaller step drowns in rounding (6% at 3e-4),
         # a larger one crosses ReLU kinks (35% at 1e-2); 3e-3 gives 0.3%
         assert ad.finite_difference_check(loss, Tensor(x), eps=3e-3) < 1e-2
+
+
+def closure_arrays(fn):
+    """Every array a function's closure holds, through nested functions,
+    tensors, lists and tuples."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, Tensor):
+            stack.append(item.data)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in item.__closure__)
+    return found
+
+
+class TestWhatATrainingStepKeeps:
+    """A training step's graph keeps no forward state that its backward has
+    finished with or that another tensor already holds: dropout keeps a
+    bool mask, a conv its parents' own arrays, and each activation is
+    freed once the backward has passed it."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_dropout_node_keeps_only_a_bool_mask(self, stride):
+        rng = np.random.default_rng(70)
+        x = Tensor(rng.uniform(-1, 1, (2, 5, 3)).astype(np.float32),
+                   requires_grad=True)
+        y = tcn_model.dropout(x, 0.3, True, np.random.default_rng(71),
+                              length=13, stride=stride)
+        assert len(y.node.parents) == 1 and y.node.parents[0] is x
+        arrays = closure_arrays(y.node.backward_fn)
+        assert arrays and all(a.dtype == bool for a in arrays)
+        draws = np.random.default_rng(71).random(
+            (2, 5 if stride == 1 else 13, 3), dtype=np.float32)[:, ::stride]
+        keep = (draws >= 0.3).astype(np.float32) / np.float32(0.7)
+        g = rng.uniform(-1, 1, x.shape).astype(np.float32)
+        np.testing.assert_array_equal(y.data, x.data * keep)
+        np.testing.assert_array_equal(y.node.backward_fn(g)[0], g * keep)
+
+    @pytest.mark.parametrize("dilation,stride", [(1, 1), (1, 2), (3, 1)])
+    @pytest.mark.parametrize("needs_x_grad", [True, False])
+    def test_conv_node_keeps_no_padded_copy(self, dilation, stride,
+                                            needs_x_grad):
+        p = replace(conv_params(72, out_ch=4, in_ch=3, k=3,
+                                dilation=dilation), stride=stride)
+        x = Tensor(np.random.default_rng(73).uniform(-1, 1, (2, 11, 3))
+                   .astype(np.float32), requires_grad=needs_x_grad)
+        node = conv1d_causal(x, p).node
+        held = closure_arrays(node.backward_fn)
+        assert any(a is x.data for a in held)  # dW reads the input
+        assert all(any(a is t.data for t in node.parents) for a in held)
+
+    def test_activations_freed_as_the_backward_passes_them(self, monkeypatch):
+        conv = tcn_model.conv1d_causal
+        refs, alive = [], []
+
+        def recording(x, p):
+            y = conv(x, p)
+            refs.append(weakref.ref(y.data))
+            if len(refs) == 1:
+                # cnn.0: every other conv output descends from it, so its
+                # backward runs after all of theirs
+                inner = y.node.backward_fn
+
+                def spied(g):
+                    alive.extend(ref() is not None for ref in refs[1:])
+                    return inner(g)
+                y.node.backward_fn = spied
+            return y
+        monkeypatch.setattr(tcn_model, "conv1d_causal", recording)
+
+        model = TcnModel.initialize(tiny_config(dropout=0.3),
+                                    np.random.default_rng(74))
+        rng = np.random.default_rng(75)
+        x = Tensor(rng.uniform(0, 1, (3, 32, 4)).astype(np.float32),
+                   requires_grad=True)
+        logits = model.forward(x, training=True, rng=rng)
+        loss = bce_multilabel_loss(logits, rng.integers(0, 2, (3, 3)))
+        ad.backward(loss)
+        assert len(alive) == 4 and not any(alive)
+        assert loss.grad.tolist() == 1.0 and logits.grad is None
+        assert x.grad.shape == x.shape
+        for name, param in model.params.items():
+            assert param.grad.shape == param.shape, name
+        del logits, loss
+        assert all(ref() is None for ref in refs)
 
 
 class TestDecimatedWorkShape:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import model_configs, tiny_config
+from conftest import model_configs, rewrite_checkpoint_config, tiny_config
 
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
@@ -300,6 +300,27 @@ class TestCheckpoints:
         path.write_bytes(blob.replace(b"\nkernel_size=", b"\nkernel_size=x", 1))
         with pytest.raises(DataError, match="kernel_size expects int"):
             load_checkpoint(path)
+
+    def test_repeated_config_key_is_data_error(self, tmp_path):
+        _, ckpt = self.make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        rewrite_checkpoint_config(path, lambda block: block + b"dropout=0.25\n")
+        with pytest.raises(DataError, match="repeats 'dropout'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["dropout", "classifier_input",
+                                     "label_names"])
+    @pytest.mark.parametrize("where", ["metadata", "extra"])
+    def test_metadata_may_not_name_a_config_key(self, tmp_path, key, where):
+        _, ckpt = self.make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        extra = {key: "x"} if where == "extra" else None
+        if where == "metadata":
+            ckpt.metadata[key] = "x"
+        with pytest.raises(ValueError, match=key):
+            save_checkpoint(ckpt, path, extra=extra)
+        assert not path.exists()
 
     def test_checkpoint_with_alphabet_size_line_still_loads(self, tmp_path):
         # checkpoints written while the input width was a config key carry
