@@ -7,11 +7,22 @@ convolution, dropout and the loss), the backward pass and a
 finite-difference gradient checker. Tensors are immutable after
 construction except for gradient accumulation.
 
-``backward`` leaves gradients on leaves only: the tensors that no recorded
-op produced (parameters, an attribution input) and the scalar it started
-from. It frees the graph as it replays it, so each intermediate tensor, its
-gradient and its op's saved state are released once its op has run
-backward, not when the whole pass returns.
+The graph holds gradient routes, not values. A recorded op's node keeps
+each leaf parent (a tensor no recorded op produced: a parameter, an
+attribution input, a constant) as itself, and each other parent as that
+tensor's handle: a data-less ``Tensor`` made once per tensor, sharing its
+``node``, that receives its gradient in the backward. So no node keeps the
+``data`` of a tensor an op produced. Its ``backward_fn`` closure captures
+only the arrays its backward reads: relu a bool mask, add, the reductions
+and getitem shapes only, matmul an operand only when the other one needs
+a gradient. An activation that no backward reads is freed in the
+forward, as soon as the code that computed it lets go of it.
+
+``backward`` leaves gradients on leaves only, and on the scalar it started
+from. It frees the graph as it replays it: each node drops its
+``backward_fn`` and parents once that has run, and each handle its
+gradient, so an op's saved state is released then, not when the whole pass
+returns, and a tensor the caller still holds (the logits) pins nothing.
 
 A recorded op's ``backward_fn(g)`` returns one gradient per parent, and
 ``None`` for a parent that needs no gradient (``needs_grad`` false when the
@@ -46,11 +57,12 @@ def no_grad():
 
 @dataclass
 class Node:
-    """One recorded operation: kind, inputs, and its vector-Jacobian rule."""
+    """One recorded operation: kind, inputs (leaves and handles), and its
+    vector-Jacobian rule; ``backward`` empties both once it has run it."""
 
     op: str
     parents: tuple["Tensor", ...]
-    backward_fn: Callable[[Array], tuple[Optional[Array], ...]]
+    backward_fn: Optional[Callable[[Array], tuple[Optional[Array], ...]]]
 
 
 class Tensor:
@@ -58,11 +70,12 @@ class Tensor:
 
     ``data`` is row-major float32. ``grad`` mirrors ``data``'s shape on a
     leaf (``node`` None) once ``backward`` has run through it. ``node``
-    links into the (acyclic) graph of recorded operations and is cleared
-    as backward replays it.
+    links into the (acyclic) graph of recorded operations; ``backward``
+    empties it. ``handle`` is what the nodes of the ops reading this tensor
+    keep of it, when an op produced it (see ``_route``).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "exact")
+    __slots__ = ("data", "requires_grad", "grad", "node", "exact", "handle")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = np.asarray(values, dtype=np.float32)
@@ -73,6 +86,7 @@ class Tensor:
         # stay float32, but precision-sensitive readers (the finite
         # difference checker) can avoid the final rounding
         self.exact: Optional[float] = None
+        self.handle: Optional[Tensor] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,12 +117,27 @@ def needs_grad(t: Tensor) -> bool:
     return t.requires_grad and _grad_enabled.get()
 
 
+def _route(t: Tensor) -> Tensor:
+    """What a node keeps of its parent ``t``: a leaf itself, and a tensor
+    an op produced as its handle, a ``Tensor`` without data that shares
+    ``t``'s node and receives its gradient. Each tensor has one handle, so
+    the ops reading ``t`` meet in one place in the graph."""
+    if t.node is None:
+        return t
+    if t.handle is None:
+        handle = Tensor.__new__(Tensor)
+        handle.data, handle.requires_grad, handle.grad = None, True, None
+        handle.node, handle.exact, handle.handle = t.node, None, None
+        t.handle = handle
+    return t.handle
+
+
 def _record(data: Array, op: str, parents: tuple[Tensor, ...],
             backward_fn: Callable[[Array], tuple[Optional[Array], ...]]) -> Tensor:
     requires = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
-        out.node = Node(op, parents, backward_fn)
+        out.node = Node(op, tuple(_route(p) for p in parents), backward_fn)
     return out
 
 
@@ -128,10 +157,11 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
     need_a, need_b = needs_grad(a), needs_grad(b)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward_fn(g: Array):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None)
 
     return _record(data, "add", (a, b), backward_fn)
 
@@ -143,10 +173,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"inner extents differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
     need_a, need_b = needs_grad(a), needs_grad(b)
+    # each operand only for the other one's gradient
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
 
     def backward_fn(g: Array):
-        return (g @ b.data.T if need_a else None,
-                a.data.T @ g if need_b else None)
+        return (g @ b_data.T if need_a else None,
+                a_data.T @ g if need_b else None)
 
     return _record(data, "matmul", (a, b), backward_fn)
 
@@ -156,9 +189,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, np.float32(0))
+    if not needs_grad(x):
+        return Tensor(data)
+    mask = data > 0  # x > 0, kept in place of x
 
     def backward_fn(g: Array):
-        return ((x.data > 0).astype(np.float32) * g,)
+        return (mask.astype(np.float32) * g,)
 
     return _record(data, "relu", (x,), backward_fn)
 
@@ -191,9 +227,10 @@ def _restore_shape(g: Array, in_shape: tuple[int, ...], axes: tuple[int, ...]) -
 def reduce_sum(x: Tensor, axes=None) -> Tensor:
     axes = _normalize_axes(axes, x.ndim)
     acc = x.data.sum(axis=axes, dtype=np.float64)
+    shape = x.shape
 
     def backward_fn(g: Array):
-        return (np.ascontiguousarray(_restore_shape(g, x.shape, axes)),)
+        return (np.ascontiguousarray(_restore_shape(g, shape, axes)),)
 
     out = _record(acc.astype(np.float32), "sum", (x,), backward_fn)
     if out.size == 1:
@@ -205,9 +242,10 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
     axes = _normalize_axes(axes, x.ndim)
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
     acc = x.data.mean(axis=axes, dtype=np.float64)
+    shape = x.shape
 
     def backward_fn(g: Array):
-        return (np.ascontiguousarray(_restore_shape(g, x.shape, axes)) / count,)
+        return (np.ascontiguousarray(_restore_shape(g, shape, axes)) / count,)
 
     out = _record(acc.astype(np.float32), "mean", (x,), backward_fn)
     if out.size == 1:
@@ -221,9 +259,10 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
 def getitem(x: Tensor, key) -> Tensor:
     """Basic (non-fancy) indexing with a scatter backward."""
     data = x.data[key]
+    shape = x.shape
 
     def backward_fn(g: Array):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=np.float32)
         gx[key] = g
         return (gx,)
 
@@ -245,10 +284,13 @@ def backward(out: Tensor) -> None:
 
     ``out`` must hold exactly one element; its own gradient seeds to 1 and
     stays. The recorded graph is replayed once in reverse topological
-    order. Each tensor leaves the tape once replayed, and a tensor an op
-    produced loses its ``node`` and its ``grad`` as soon as that op's
-    ``backward_fn`` has run: what the caller no longer holds is freed
-    during the pass. Only leaves keep the gradients they receive.
+    order, over ``out``, the handles of the tensors ops produced, and the
+    leaves. Each entry leaves the tape once replayed. As soon as a node's
+    ``backward_fn`` has run, the node drops it and its parents, and the
+    handle (or ``out``) loses its ``node`` and its ``grad``: an op's saved
+    arrays are freed during the pass, and a tensor the caller still holds
+    keeps an empty node that reaches nothing. Only leaves keep the
+    gradients they receive.
     """
     if out.data.size != 1:
         raise ValueError(f"backward needs a scalar, got shape {out.shape}")
@@ -277,12 +319,14 @@ def backward(out: Tensor) -> None:
         if node is None:
             continue
         tensor.node = None  # graph freed; no higher-order gradients
-        if tensor.grad is None:
+        parents, backward_fn = node.parents, node.backward_fn
+        node.parents, node.backward_fn = (), None
+        if tensor.grad is None or backward_fn is None:
             continue
-        grads = node.backward_fn(tensor.grad)
+        grads = backward_fn(tensor.grad)
         if tensor is not out:
             tensor.grad = None
-        for parent, grad in zip(node.parents, grads):
+        for parent, grad in zip(parents, grads):
             if grad is None or not parent.requires_grad:
                 continue
             grad = np.asarray(grad, dtype=np.float32)

@@ -304,9 +304,10 @@ def _conv_taploop(x, xpad, p, need_dx):
     record's (and phase's) last M blocks of G are zero, which keeps records
     and phases apart. The backward computes dx only when ``need_dx``.
 
-    For dW the backward keeps ``x``, the array its op's input tensor
-    already holds, and pads each chunk of records into the block layout
-    just before that chunk's GEMMs; ``xpad`` is a forward temporary.
+    For dW the backward keeps ``x``, the input array itself and not a
+    copy (the op's node keeps only a data-less handle of its input
+    tensor), and pads each chunk of records into the block layout just
+    before that chunk's GEMMs; ``xpad`` is a forward temporary.
     """
     nb, length, in_ch = x.shape
     out_ch, _, k = p.weights.shape

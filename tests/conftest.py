@@ -19,6 +19,26 @@ def mul_const(x: Tensor, c: Tensor) -> Tensor:
                       lambda g: (g * c.data,))
 
 
+def closure_arrays(fn):
+    """Every array a function's closure holds, through nested functions,
+    tensors, lists and tuples."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, Tensor):
+            stack.append(item.data)
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in item.__closure__)
+    return found
+
+
 def rewrite_checkpoint_config(path, edit):
     """Replace the config block of the checkpoint file at ``path`` by
     ``edit(block)``, rewriting its length (the u32 after magic and

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closure_arrays
+
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
 
@@ -208,6 +210,43 @@ class TestGradientNeeds:
         assert ad.needs_grad(x) and not ad.needs_grad(Tensor([1.0]))
         with ad.no_grad():
             assert not ad.needs_grad(x)
+
+
+class TestWhatANodeKeeps:
+    """A node keeps a leaf parent as itself and a parent an op produced as
+    that tensor's data-less handle; its closure keeps only the arrays its
+    backward reads."""
+
+    def test_produced_parent_kept_as_one_shared_handle(self):
+        x = Tensor(rand((2, 3), 40), requires_grad=True)
+        h = ad.add(x, x)
+        y, z = ad.relu(h), ad.add(h, h)
+        assert h.node.parents == (x, x)
+        handle = y.node.parents[0]
+        assert handle is not h and handle.data is None
+        assert handle.node is h.node and handle.requires_grad
+        assert z.node.parents == (handle, handle)
+
+    def test_closures_keep_only_what_the_backward_reads(self):
+        x = Tensor(rand((4, 3), 41), requires_grad=True)
+        h = ad.add(x, Tensor(rand((3,), 42)))
+        w = Tensor(rand((3, 2), 43))  # frozen: dx reads w only
+        assert [a is w.data for a in
+                closure_arrays(ad.matmul(h, w).node.backward_fn)] == [True]
+        r = ad.relu(h)
+        (mask,) = closure_arrays(r.node.backward_fn)
+        np.testing.assert_array_equal(mask, h.data > 0)
+        for t in (h, ad.reduce_sum(h, axes=0), ad.reduce_mean(h),
+                  ad.getitem(h, (slice(1, None), 0))):
+            assert closure_arrays(t.node.backward_fn) == []
+
+    def test_caller_held_tensor_pins_nothing_after_backward(self):
+        x = Tensor(rand((4, 3), 44), requires_grad=True)
+        w = Tensor(rand((3, 2), 45), requires_grad=True)
+        logits = ad.matmul(ad.relu(x), w)
+        ad.backward(ad.reduce_sum(logits))
+        assert logits.node.parents == () and logits.node.backward_fn is None
+        assert x.grad is not None and w.grad is not None
 
 
 class TestGradientCorrectness:

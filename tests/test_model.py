@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (measured_receptive_field, mul_const, naive_causal_conv,
-                      reference_forward, tiny_config)
+from conftest import (closure_arrays, measured_receptive_field, mul_const,
+                      naive_causal_conv, reference_forward, tiny_config)
 
 from tcnbind import autodiff as ad
 from tcnbind import model as tcn_model
@@ -293,13 +293,16 @@ class TestBlockToeplitzBackward:
                     err_msg=f"{name} at L={length}, C_in={in_ch}")
 
     def test_padded_input_holds_whole_blocks(self):
-        # the forward pads x once, to the backward's block layout
+        # dW stages each chunk of records into the backward's block layout:
+        # its rows hold the (k-1)*d zeros of the causal pad and all of x
         for k, d, s, length in [(32, 1, 1, 1000), (32, 1, 2, 1000),
                                 (8, 4, 1, 200), (3, 2, 3, 23), (1, 5, 2, 7)]:
             g, step, phases, blocks = tcn_model._toeplitz_layout(k, d, s,
                                                                  length)
             assert g % step == 0 and s % step == 0
             assert phases * blocks * g >= (k - 1) * d + length
+
+
 class TestConvGradientNeeds:
     """The conv kernel is picked, and its backward sized, by the gradients
     the op must produce."""
@@ -636,31 +639,28 @@ class TestDecimatedForward:
         assert ad.finite_difference_check(loss, Tensor(x), eps=3e-3) < 1e-2
 
 
-def closure_arrays(fn):
-    """Every array a function's closure holds, through nested functions,
-    tensors, lists and tuples."""
-    found, seen, stack = [], set(), [fn]
+def graph_arrays(t):
+    """Every array the closures of the graph reachable from ``t`` hold."""
+    found, seen, stack = [], set(), [t]
     while stack:
-        item = stack.pop()
-        if id(item) in seen:
+        tensor = stack.pop()
+        if id(tensor) in seen or tensor.node is None:
             continue
-        seen.add(id(item))
-        if isinstance(item, np.ndarray):
-            found.append(item)
-        elif isinstance(item, Tensor):
-            stack.append(item.data)
-        elif isinstance(item, (list, tuple)):
-            stack.extend(item)
-        elif callable(item) and getattr(item, "__closure__", None):
-            stack.extend(cell.cell_contents for cell in item.__closure__)
+        seen.add(id(tensor))
+        if tensor.node.backward_fn is not None:
+            found.extend(closure_arrays(tensor.node.backward_fn))
+        stack.extend(tensor.node.parents)
     return found
 
 
 class TestWhatATrainingStepKeeps:
-    """A training step's graph keeps no forward state that its backward has
-    finished with or that another tensor already holds: dropout keeps a
-    bool mask, a conv its parents' own arrays, and each activation is
-    freed once the backward has passed it."""
+    """A training step's graph keeps only what each backward reads. A node
+    keeps a parent an op produced as a data-less handle, so an activation
+    that no backward reads (a conv output, a relu output) is freed in the
+    forward. Dropout and relu keep a bool mask, a conv the input array its
+    dW reads, a matmul the operands of the other one's gradient. The
+    backward frees each op's arrays once it has run it, and a tensor the
+    caller still holds then reaches none."""
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_dropout_node_keeps_only_a_bool_mask(self, stride):
@@ -692,12 +692,64 @@ class TestWhatATrainingStepKeeps:
         assert any(a is x.data for a in held)  # dW reads the input
         assert all(any(a is t.data for t in node.parents) for a in held)
 
+    def test_forward_frees_what_no_backward_reads(self, monkeypatch):
+        conv, relu, matmul = tcn_model.conv1d_causal, ad.relu, ad.matmul
+        conv_inputs, conv_outputs, relu_outputs, operands = [], [], [], []
+
+        def spy_conv(x, p):
+            y = conv(x, p)
+            conv_inputs.append(weakref.ref(x.data))
+            conv_outputs.append(weakref.ref(y.data))
+            return y
+
+        def spy_relu(x):
+            y = relu(x)
+            relu_outputs.append(weakref.ref(y.data))
+            return y
+
+        def spy_matmul(a, b):
+            operands.extend((weakref.ref(a.data), weakref.ref(b.data)))
+            return matmul(a, b)
+        monkeypatch.setattr(tcn_model, "conv1d_causal", spy_conv)
+        monkeypatch.setattr(ad, "relu", spy_relu)
+        monkeypatch.setattr(ad, "matmul", spy_matmul)
+
+        cfg = tiny_config(dropout=0.3)
+        model = TcnModel.initialize(cfg, np.random.default_rng(76))
+        rng = np.random.default_rng(77)
+        x = Tensor(rng.uniform(0, 1, (3, 32, 4)).astype(np.float32))
+        logits = model.forward(x, training=True, rng=rng)
+
+        kept = [ref() for ref in conv_inputs + operands]
+        kept += [p.data for p in model.params.values()]
+        assert all(ref() is None for ref in conv_outputs)
+        # a block's output is the next block's conv input, kept for dW;
+        # every other relu output (the last block's among them) is freed
+        live = [ref() for ref in relu_outputs if ref() is not None]
+        assert len(relu_outputs) == 3 * cfg.tcn_blocks + cfg.cnn_layers + 1
+        assert len(live) == cfg.tcn_blocks - 1
+        assert all(any(a is b for b in kept) for a in live)
+        held = graph_arrays(logits)
+        assert any(a.dtype == bool for a in held)  # relu and dropout masks
+        assert all(any(a is b for b in kept)
+                   for a in held if a.dtype != bool)
+        del kept, live, held
+
+        loss = bce_multilabel_loss(logits, rng.integers(0, 2, (3, 3)))
+        ad.backward(loss)
+        assert graph_arrays(logits) == []
+        # the batch is the test's and the weights the model's; nothing
+        # else the forward saved lives on
+        assert all(ref() is None for ref in conv_inputs[1:] + operands[::2])
+
     def test_activations_freed_as_the_backward_passes_them(self, monkeypatch):
         conv = tcn_model.conv1d_causal
         refs, alive = [], []
 
         def recording(x, p):
             y = conv(x, p)
+            if refs:  # cnn.0's input is the test's batch
+                refs.append(weakref.ref(x.data))  # kept for dW
             refs.append(weakref.ref(y.data))
             if len(refs) == 1:
                 # cnn.0: every other conv output descends from it, so its
@@ -719,7 +771,7 @@ class TestWhatATrainingStepKeeps:
         logits = model.forward(x, training=True, rng=rng)
         loss = bce_multilabel_loss(logits, rng.integers(0, 2, (3, 3)))
         ad.backward(loss)
-        assert len(alive) == 4 and not any(alive)
+        assert len(alive) == 8 and not any(alive)
         assert loss.grad.tolist() == 1.0 and logits.grad is None
         assert x.grad.shape == x.shape
         for name, param in model.params.items():
