@@ -13,7 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DataError, EncodedDataset, dinucleotide_shuffle, one_hot
+from .data import (DataError, EncodedDataset, dinucleotide_shuffle, one_hot,
+                   open_text)
 from .model import TcnModel
 
 logger = logging.getLogger(__name__)
@@ -376,9 +377,17 @@ def write_attribution_maps(maps: Iterable[AttributionMap], path,
 
 
 def read_attribution_maps(path) -> list[AttributionMap]:
+    """The maps of a ``write_attribution_maps`` file, each as written.
+    Raises DataError when malformed."""
     maps: list[AttributionMap] = []
     rows: list[list[float]] = []
     head: Optional[tuple[str, str, float]] = None
+
+    def reals(lineno, fields):
+        try:
+            return [float(v) for v in fields]
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
 
     def flush():
         if head is None:
@@ -388,7 +397,7 @@ def read_attribution_maps(path) -> list[AttributionMap]:
                                    scores=np.array(rows).reshape(len(rows), 4),
                                    completeness_gap=gap, sample_id=sample_id))
 
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -398,7 +407,7 @@ def read_attribution_maps(path) -> list[AttributionMap]:
                 parts = line[1:].rsplit(maxsplit=2)
                 if len(parts) != 3:
                     raise DataError(f"line {lineno}: malformed block header")
-                head = (parts[0], parts[1], float(parts[2]))
+                head = (parts[0], parts[1], reals(lineno, parts[2:])[0])
                 rows = []
             else:
                 if head is None:
@@ -406,7 +415,7 @@ def read_attribution_maps(path) -> list[AttributionMap]:
                 values = line.split("\t")
                 if len(values) != 4:
                     raise DataError(f"line {lineno}: expected 4 columns")
-                rows.append([float(v) for v in values])
+                rows.append(reals(lineno, values))
     flush()
     return maps
 
@@ -435,7 +444,7 @@ def read_pwms(path) -> list[Pwm]:
     """The PWMs of a ``write_pwms`` file: name, matrix, members and
     information bits, each as written. Raises DataError when malformed."""
     pwms: list[Pwm] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path) as fh:
         lines = [(lineno, raw.rstrip("\n"))
                  for lineno, raw in enumerate(fh, start=1) if raw.strip()]
     pos = 0

@@ -286,11 +286,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def _dataset_and_model(args):
+    """The ``--dataset`` set, the ``--model`` checkpoint and the model it
+    builds; DataError unless the set fits the checkpoint."""
     ds = dat.load_dataset(args.dataset)
     ckpt = trn.load_checkpoint(args.model)
     trn.ensure_dataset_fits(ckpt, ds)
-    model = trn.build_model(ckpt)
+    return ds, ckpt, trn.build_model(ckpt)
+
+
+def cmd_evaluate(args) -> int:
+    ds, ckpt, model = _dataset_and_model(args)
     scores = trn.predict_scores(model, ds.onehot())
     report = met.metrics_report(scores, ds.labels, ds.label_names,
                                 threshold=args.threshold)
@@ -314,10 +320,7 @@ def _attribution_targets(args, label_names: list[str]) -> list[int]:
 
 
 def cmd_attribute(args) -> int:
-    ds = dat.load_dataset(args.dataset)
-    ckpt = trn.load_checkpoint(args.model)
-    trn.ensure_dataset_fits(ckpt, ds)
-    model = trn.build_model(ckpt)
+    ds, _, model = _dataset_and_model(args)
     targets = _attribution_targets(args, ds.label_names)
     count = min(args.max_samples, len(ds))
     maps = attr.attribute_dataset(
@@ -331,10 +334,7 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_motifs(args) -> int:
-    ds = dat.load_dataset(args.dataset)
-    ckpt = trn.load_checkpoint(args.model)
-    trn.ensure_dataset_fits(ckpt, ds)
-    model = trn.build_model(ckpt)
+    ds, _, model = _dataset_and_model(args)
     targets = _attribution_targets(args, ds.label_names)
 
     rng = np.random.default_rng(args.seed)

@@ -125,19 +125,6 @@ def receptive_field(config: ModelConfig) -> int:
     return 1 + cnn_span + tcn_span
 
 
-# The im2col kernel materializes a [B*L_out, k*C_in] window buffer and runs
-# one GEMM over it; it has no backward. A conv whose op records no gradient
-# (none of x, W and b needs one: no-grad scoring) takes it while that buffer
-# stays within this many elements, above which the buffer thrashes memory
-# (and costs RSS). It wins that case at the first layer of validation
-# scoring: 3.2-4.2 against 5.5-7.8 ms for the tap loop at B=16, L=1000,
-# C_in=4, k=32 (min of 20 in three rounds, two BLAS threads; 2-vCPU Xeon,
-# numpy 2.4.6, OpenBLAS 0.3.31).
-# Every other conv takes the tap loop, whose block-Toeplitz backward gives
-# dx, dW and db.
-_IM2COL_ELEMENT_LIMIT = 4_000_000
-
-
 def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     """y[b, t, o] = bias[o] + sum_{c,i} W[o,c,i] * x[b, t - d*i, c], zeros off the left edge.
 
@@ -145,40 +132,27 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
     the ceil(L/s) positions t = L-1 (mod s), ending at the last, with the
     values of the stride-1 output there: [B, ceil(L/s), C_out].
 
-    The kernel is picked by the gradients the op must produce
-    (``ad.needs_grad``, judged now). A conv that records no gradient takes
-    ``_conv_im2col`` while its window buffer stays within
-    ``_IM2COL_ELEMENT_LIMIT`` elements; every other conv takes
-    ``_conv_taploop``, whose block-Toeplitz backward is the only conv
-    backward. The forward pads the input with (k-1)*d zeros on the left, a
-    temporary that no backward keeps. The backward returns ``None`` for
-    each of x, W and b that needs no gradient, so a frozen model's backward
-    computes dx only.
+    Every conv runs ``_conv_taploop``, whether or not its op records a
+    gradient, so a no-grad forward gives the bits of a recorded one. Its
+    block-Toeplitz backward returns ``None`` for each of x, W and b that
+    needs no gradient (``ad.needs_grad``, judged now), so a frozen model's
+    backward computes dx only.
     """
-    _, in_ch, k = p.weights.shape
-    d = p.dilation
+    in_ch = p.weights.shape[1]
     if x.ndim != 3 or x.shape[-1] != in_ch:
         raise ValueError(
             f"conv expects [B, L, {in_ch}] input, got shape {x.shape}")
-
-    nb, length, _ = x.shape
-    pad = (k - 1) * d
-    xpad = np.zeros((nb, pad + length, in_ch), dtype=np.float32)
-    xpad[:, pad:] = x.data
-
-    need_dx = ad.needs_grad(x)
-    recorded = need_dx or ad.needs_grad(p.weights) or ad.needs_grad(p.bias)
-    outputs = (length - 1) // p.stride + 1
-    if recorded or nb * outputs * k * in_ch > _IM2COL_ELEMENT_LIMIT:
-        y, backward_fn = _conv_taploop(x.data, xpad, p, need_dx)
-    else:
-        y, backward_fn = _conv_im2col(xpad, p, nb, length)
+    y, backward_fn = _conv_taploop(x.data, p, ad.needs_grad(x))
     return ad.make_op(y, "conv1d_causal", (x, p.weights, p.bias), backward_fn)
 
 
 def _conv_im2col(xpad, p, nb, length):
     """Materialize sliding windows once and run one GEMM: a forward only,
-    for an op that records no gradient, so its backward_fn is None."""
+    whose backward_fn is None. ``xpad`` is the input after (k-1)*d zeros.
+
+    Nothing calls it: every conv runs ``_conv_taploop``. It stays only
+    while the benchmark's self-test patches it by name, and goes with the
+    next benchmark change."""
     out_ch, in_ch, k = p.weights.shape
     d, s = p.dilation, p.stride
     outputs = (length - 1) // s + 1
@@ -291,30 +265,33 @@ def _fold_bands(dbands, k, g, step, lead):
     return np.ascontiguousarray(dwr[::-1].transpose(2, 1, 0))
 
 
-def _conv_taploop(x, xpad, p, need_dx):
-    """One batched GEMM per kernel tap forward over ``xpad``, the input
-    array ``x`` [B, L, C_in] after (k-1)*d zeros; a block-Toeplitz
-    backward, the only conv backward. Never builds the im2col buffer.
+def _conv_taploop(x, p, need_dx):
+    """One batched GEMM per kernel tap forward over the input array ``x``
+    [B, L, C_in] after (k-1)*d zeros; a block-Toeplitz backward. It is the
+    only conv kernel, forward and backward.
 
-    The backward groups positions into the blocks of ``_toeplitz_layout``.
-    With the banded matrices T_m of ``_toeplitz_bands``, block i of the
-    output gradient G feeds input blocks i..i+M: dX[i+m] += G[i] @ T_m^T,
-    per record, and dW folds D_m = X^T @ G, one GEMM per m over every block
-    row of a chunk of records, back onto the k taps (``_fold_bands``). Each
-    record's (and phase's) last M blocks of G are zero, which keeps records
-    and phases apart. The backward computes dx only when ``need_dx``.
+    The forward pads one block of records at a time, a temporary that no
+    backward keeps. The backward groups positions into the blocks of
+    ``_toeplitz_layout``. With the banded matrices T_m of
+    ``_toeplitz_bands``, block i of the output gradient G feeds input
+    blocks i..i+M: dX[i+m] += G[i] @ T_m^T, per record, and dW folds
+    D_m = X^T @ G, one GEMM per m over every block row of a chunk of
+    records, back onto the k taps (``_fold_bands``). Each record's (and
+    phase's) last M blocks of G are zero, which keeps records and phases
+    apart. The backward computes dx only when ``need_dx``.
 
     For dW the backward keeps ``x``, the input array itself and not a
     copy (the op's node keeps only a data-less handle of its input
     tensor), and pads each chunk of records into the block layout just
-    before that chunk's GEMMs; ``xpad`` is a forward temporary.
+    before that chunk's GEMMs.
     """
     nb, length, in_ch = x.shape
     out_ch, _, k = p.weights.shape
     d, s = p.dilation, p.stride
     outputs = (length - 1) // s + 1
-    # tap j multiplies xpad[:, t + j*d, :] by W[:, :, k-1-j]^T at every
-    # emitted position t = L-1 (mod s)
+    pad = (k - 1) * d
+    # tap j multiplies the padded x[:, t + j*d, :] by W[:, :, k-1-j]^T at
+    # every emitted position t = L-1 (mod s)
     first = (length - 1) % s
     windows = [slice(j * d + first, j * d + length, s) for j in range(k)]
     weights = p.weights.data
@@ -323,7 +300,9 @@ def _conv_taploop(x, xpad, p, need_dx):
     y[:] = p.bias.data
     records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (outputs * out_ch))
     for r in range(0, nb, records):
-        yr, xr = y[r:r + records], xpad[r:r + records]
+        yr = y[r:r + records]
+        xr = np.zeros((len(yr), pad + length, in_ch), dtype=np.float32)
+        xr[:, pad:] = x[r:r + records]
         for j in range(k):
             yr += np.matmul(xr[:, windows[j], :], taps[j])
     need_db = ad.needs_grad(p.bias)

@@ -324,13 +324,28 @@ class TestFileFormats:
         "ALPHABET= ACGT\nMOTIF a\nw= 1\n1 0 0\n# members= 1\n"
         "# info_bits= 2.0\n",
         "ALPHABET= ACGT\nMOTIF a\nw= 1\n1 0 0 0\n# members= 1\n"
-        "# info_bits= 2.0 1.0\n"],
-        ids=["empty", "no_alphabet", "short_matrix", "short_row", "long_info"])
+        "# info_bits= 2.0 1.0\n",
+        "ALPHABET= ACGT\nMOTIF \u00e9\nw= 1\n1 0 0 0\n# members= 1\n"
+        "# info_bits= 2.0\n"],
+        ids=["empty", "no_alphabet", "short_matrix", "short_row", "long_info",
+             "non_ascii"])
     def test_malformed_pwms_are_data_errors(self, tmp_path, text):
         path = tmp_path / "pwms.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError):
             read_pwms(path)
+
+    @pytest.mark.parametrize("text", [
+        ">s0 TF0 abc\n0\t0\t0\t0\n", ">s0 TF0 0.5\n0\t0\tx\t0\n",
+        ">s0 TF0\n", "0\t0\t0\t0\n", ">s0 TF0 0.5\n0\t0\t0\n",
+        ">s0 TF0 0.5\n0\t0\t0\t\u00b5\n"],
+        ids=["gap_not_a_number", "score_not_a_number", "short_header",
+             "scores_before_header", "short_row", "non_ascii"])
+    def test_malformed_maps_are_data_errors(self, tmp_path, text):
+        path = tmp_path / "attr.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError):
+            read_attribution_maps(path)
 
     def test_pwm_output_format(self, tmp_path):
         path = tmp_path / "pwm.txt"

@@ -18,8 +18,9 @@ from tcnbind.model import (Conv1dParams, ModelConfig, TcnBlockParams, TcnModel,
                            parameter_shapes,
                            conv1d_causal, init_parameters, receptive_field,
                            tcn_block)
-from tcnbind.training import (TrainConfig, bce_multilabel_loss, build_model,
-                              train)
+from tcnbind.training import (TrainConfig, _sigmoid_stable,
+                              bce_multilabel_loss, build_model,
+                              predict_scores, train)
 
 
 def conv_params(seed, out_ch, in_ch, k, dilation=1, scale=0.5):
@@ -186,17 +187,14 @@ class TestConvStride:
 
     @pytest.mark.parametrize("length,stride,dilation", [
         (17, 2, 1), (23, 3, 2), (3, 4, 2)])
-    def test_im2col_takes_the_stride_too(self, length, stride, dilation,
-                                         monkeypatch):
-        # im2col runs only ops that record no gradient: a constant input
-        # through frozen parameters, with grad mode on
+    def test_frozen_conv_takes_the_stride_too(self, length, stride, dilation):
+        # an op that records no gradient: a constant input through frozen
+        # parameters, with grad mode on
         x, p, _, keep, _ = self.pair(length, stride, dilation,
                                      needs_x_grad=False)
         p = TestConvGradientNeeds.frozen(p)
-        calls = TestConvGradientNeeds.count_kernels(monkeypatch)
         full = conv1d_causal(x, p)
         got = conv1d_causal(x, replace(p, stride=stride))
-        assert calls == {"_conv_im2col": 2, "_conv_taploop": 0}
         assert full.node is None and got.node is None
         np.testing.assert_array_equal(got.data, full.data[:, keep])
 
@@ -304,25 +302,13 @@ class TestBlockToeplitzBackward:
 
 
 class TestConvGradientNeeds:
-    """The conv kernel is picked, and its backward sized, by the gradients
-    the op must produce."""
+    """The conv's backward is sized by the gradients the op must
+    produce."""
 
     @staticmethod
     def frozen(p):
         return Conv1dParams(Tensor(p.weights.data), Tensor(p.bias.data),
                             p.dilation)
-
-    @staticmethod
-    def count_kernels(monkeypatch):
-        calls = {"_conv_im2col": 0, "_conv_taploop": 0}
-        for name in calls:
-            kernel = getattr(tcn_model, name)
-
-            def counting(*args, name=name, kernel=kernel):
-                calls[name] += 1
-                return kernel(*args)
-            monkeypatch.setattr(tcn_model, name, counting)
-        return calls
 
     def test_frozen_parameters_give_input_gradient_only(self):
         p = conv_params(20, out_ch=3, in_ch=2, k=3, dilation=2)
@@ -345,62 +331,18 @@ class TestConvGradientNeeds:
         np.testing.assert_array_equal(dw, want_dw)
         np.testing.assert_array_equal(db, want_db)
 
-    def test_input_needing_a_gradient_takes_the_tap_loop(self, monkeypatch):
-        calls = self.count_kernels(monkeypatch)
-        p = self.frozen(conv_params(26, out_ch=4, in_ch=4, k=3))
-        conv1d_causal(Tensor(np.ones((2, 10, 4), dtype=np.float32),
-                             requires_grad=True), p)
-        assert calls == {"_conv_im2col": 0, "_conv_taploop": 1}
 
-    def test_small_no_grad_batch_takes_im2col(self, monkeypatch):
-        calls = self.count_kernels(monkeypatch)
-        p = conv_params(27, out_ch=4, in_ch=4, k=3)
-        x = Tensor(np.ones((2, 10, 4), dtype=np.float32), requires_grad=True)
-        with ad.no_grad():
-            conv1d_causal(x, p)
-        conv1d_causal(Tensor(x.data), self.frozen(p))  # nothing needs a grad
-        assert calls == {"_conv_im2col": 2, "_conv_taploop": 0}
+class TestConvCensus:
+    """Whether the op of every conv of one training epoch and one IG map
+    records a gradient."""
 
-    @pytest.mark.parametrize("trained", ["weights", "bias"])
-    def test_weight_only_batch_takes_the_tap_loop(self, monkeypatch, trained):
-        # a constant input, as in the first layer during training: the op
-        # records dW or db, which only the tap loop's backward gives
-        calls = self.count_kernels(monkeypatch)
-        p = self.frozen(conv_params(27, out_ch=4, in_ch=4, k=3))
-        p = replace(p, **{trained: Tensor(getattr(p, trained).data,
-                                          requires_grad=True)})
-        y = conv1d_causal(Tensor(np.ones((2, 10, 4), dtype=np.float32)), p)
-        assert calls == {"_conv_im2col": 0, "_conv_taploop": 1}
-        assert y.node is not None
-
-    def test_no_grad_batch_over_the_limit_takes_the_tap_loop(self, monkeypatch):
-        calls = self.count_kernels(monkeypatch)
-        monkeypatch.setattr(tcn_model, "_IM2COL_ELEMENT_LIMIT", 2 * 10 * 3 * 4 - 1)
-        with ad.no_grad():
-            conv1d_causal(Tensor(np.ones((2, 10, 4), dtype=np.float32)),
-                          conv_params(28, out_ch=4, in_ch=4, k=3))
-        assert calls == {"_conv_im2col": 0, "_conv_taploop": 1}
-
-
-class TestKernelCensus:
-    """The kernel every conv of one training epoch and one IG map runs, and
-    whether its op records a gradient: im2col never records one, so every
-    conv gradient comes from the tap loop's backward."""
-
-    def test_im2col_never_runs_an_op_that_records_a_gradient(self,
-                                                             monkeypatch):
-        ran = []
-        for name in ("_conv_im2col", "_conv_taploop"):
-            def tagged(*args, name=name, kernel=getattr(tcn_model, name)):
-                ran.append(name)
-                return kernel(*args)
-            monkeypatch.setattr(tcn_model, name, tagged)
+    def test_census_of_a_training_epoch_and_an_ig_map(self, monkeypatch):
         census = Counter()
         conv = tcn_model.conv1d_causal
 
         def recording(x, p):
             y = conv(x, p)
-            census[ran.pop(), y.node is not None] += 1
+            census[y.node is not None] += 1
             return y
         monkeypatch.setattr(tcn_model, "conv1d_causal", recording)
 
@@ -413,7 +355,7 @@ class TestKernelCensus:
                                                    seed=2))
         # one training step records all 5, cnn.0 for dW and db only; the
         # validation pass records none
-        assert census == {("_conv_taploop", True): 5, ("_conv_im2col", False): 5}
+        assert census == {True: 5, False: 5}
         census.clear()
         baselines = make_shuffled_baselines(ds.sequences[0], 2,
                                             np.random.default_rng(3))
@@ -421,7 +363,7 @@ class TestKernelCensus:
                              baselines, steps=3)
         # one no-grad forward of F(x) and F(x'_b); one path forward per
         # baseline, which records dx
-        assert census == {("_conv_taploop", True): 10, ("_conv_im2col", False): 5}
+        assert census == {True: 10, False: 5}
 
 
 class TestTcnBlock:
@@ -488,6 +430,25 @@ class TestModelForward:
         eval_out = model.forward(x).data
         train_out = model.forward(x, training=True, rng=np.random.default_rng(7)).data
         assert not np.array_equal(eval_out, train_out)
+
+    @pytest.mark.parametrize("readout", ["last", "mean"])
+    def test_scoring_gives_the_bits_of_a_recorded_forward(self, readout):
+        # every conv runs one kernel, whether or not its op records a
+        # gradient: no-grad scoring and a forward that records the graph
+        # give the same logits, not merely close ones
+        cfg = tiny_config(input_length=64, cnn_kernels=16, tcn_channels=16,
+                          kernel_size=8, classifier_input=readout)
+        model = TcnModel.initialize(cfg, np.random.default_rng(6))
+        x = np.random.default_rng(7).uniform(0, 1, (16, 64, 4)).astype(
+            np.float32)
+        recorded = model.forward(Tensor(x))
+        assert recorded.node is not None
+        with ad.no_grad():
+            scored = model.forward(Tensor(x))
+        assert scored.node is None
+        np.testing.assert_array_equal(scored.data, recorded.data)
+        np.testing.assert_array_equal(predict_scores(model, x),
+                                      _sigmoid_stable(recorded.data))
 
     def test_wrong_length_rejected(self, tiny_model):
         with pytest.raises(ValueError):
@@ -600,15 +561,12 @@ class TestDecimatedForward:
                                    rtol=1e-5, atol=1e-6)
 
     def test_larger_shape_across_conv_kernels(self):
-        # Both paths take the tap-loop kernel here (the input needs a
-        # gradient, and the full-resolution buffer would not fit im2col's
-        # limit anyway), but the decimated blocks run shorter GEMMs that
-        # BLAS may block and sum in another order: agreement to float32
-        # rounding, stated as rtol 1e-4.
+        # The decimated blocks run shorter GEMMs that BLAS may block and
+        # sum in another order: agreement to float32 rounding, stated as
+        # rtol 1e-4.
         cfg = ModelConfig(input_length=1000, num_labels=2, cnn_layers=1,
                           cnn_kernels=32, tcn_blocks=3, tcn_channels=32,
                           kernel_size=16, mlp_hidden=8, dropout=0.3)
-        assert 8 * 1000 * 16 * 32 > tcn_model._IM2COL_ELEMENT_LIMIT
         model = TcnModel.initialize(cfg, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, (8, 1000, 4)).astype(np.float32)
