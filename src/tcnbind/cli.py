@@ -252,13 +252,8 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
     if val_ds is None:
-        # hold out 20% of the provided training records for monitoring,
         # drawn from the run seed however it was given
-        rng = np.random.default_rng(_train_config(resolved).seed)
-        order = rng.permutation(len(train_ds))
-        n_val = max(1, int(0.2 * len(train_ds)))
-        val_ds = train_ds.subset(order[:n_val])
-        train_ds = train_ds.subset(order[n_val:])
+        train_ds, val_ds = trn.hold_out(train_ds, _train_config(resolved).seed)
     # data errors first: an empty set has no input_length to derive
     trn.check_training_sets(train_ds, val_ds, train_ds.num_labels)
     model_cfg, train_cfg = _split_configs(resolved, train_ds)

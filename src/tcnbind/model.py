@@ -134,6 +134,8 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
     Every conv runs ``_conv_taploop``, whether or not its op records a
     gradient, so a no-grad forward gives the bits of a recorded one. Its
+    forward takes the block-Toeplitz form for kernel widths from
+    ``_TOEPLITZ_FORWARD_MIN_K`` and one GEMM per tap below. Its
     block-Toeplitz backward returns ``None`` for each of x, W and b that
     needs no gradient (``ad.needs_grad``, judged now), so a frozen model's
     backward computes dx only.
@@ -167,21 +169,25 @@ def _conv_im2col(xpad, p, nb, length):
     return y, None
 
 
-# The tap loop's forward accumulates its per-tap GEMMs one block of records
-# at a time, about this many output elements (rows x channels) per block and
-# at least one record, so the accumulator and each tap's product stay in
-# cache instead of streaming a whole-batch temporary per tap (8 MB at B=64,
-# L=1000, 32 channels). Each record's GEMMs are the same calls as unblocked,
-# so y keeps its bits. Forward, min of 7 in two rounds (2-vCPU Xeon, numpy
-# 2.4.6, OpenBLAS 0.3.31), whole batch against 4096 rows of 32 channels:
-# 66-73 against 62-68 ms at B=64, L=1000, C=O=32, k=32; 75-78 against
-# 39-42 ms at B=128, C_in=4; 39-43 against 26-27 ms at B=64 with stride 2.
-# 2048 rows was within noise of 4096 on the shorter grids and slower on the
-# full-length ones; 8192 and 16384 were slower. A batch within one block
-# is not split: cutting a 25x200-row, 16-channel IG pass into 20 + 5
-# records cost 5-10% of its 0.3-0.4 ms. The backward runs over chunks of
-# records with the same element budget, counted on its largest staged
-# array; whole-batch staging raised train_paper's peak RSS by ~7 MB.
+# The conv runs one block of records at a time, about this many elements
+# per block and at least one record, so its staged arrays stay in cache
+# instead of streaming a whole-batch temporary (8 MB at B=64, L=1000, 32
+# channels). The per-tap forward counts output elements (rows x channels);
+# the block-Toeplitz forward and the backward count their largest staged
+# array. Each record's per-tap GEMMs are the same calls as unblocked, and
+# each row of a block-Toeplitz GEMM gets the bits it gets in a taller one,
+# so y keeps its bits however the batch is cut.
+# Measured on the per-tap forward, when it ran every conv: min of 7 in two
+# rounds (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31), whole batch against
+# 4096 rows of 32 channels, 66-73 against 62-68 ms at B=64, L=1000,
+# C=O=32, k=32; 75-78 against 39-42 ms at B=128, C_in=4; 39-43 against
+# 26-27 ms at B=64 with stride 2 (these k=32 shapes now run the
+# block-Toeplitz forward). 2048 rows was within noise of 4096 on the
+# shorter grids and slower on the full-length ones; 8192 and 16384 were
+# slower. A batch within one block is not split: cutting a 25x200-row,
+# 16-channel IG pass into 20 + 5 records cost 5-10% of its 0.3-0.4 ms.
+# For the backward, whole-batch staging raised train_paper's peak RSS by
+# ~7 MB.
 _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
 
 # Positions per block of the tap loop's block-Toeplitz backward: a multiple
@@ -202,21 +208,44 @@ _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
 # OpenBLAS's two threads on a 2-vCPU host such a product stalls in some
 # phases of the host, (1300x64)@(64x64) 4.8-8.0 ms against 0.07 ms in
 # others, where the 3-D batch of 25 records took 0.10 ms. dX runs 3-D
-# per-record matmuls; dW's X^T @ G has its many rows in K.
+# per-record matmuls; dW's X^T @ G has its many rows in K. The
+# block-Toeplitz forward's 2-D GEMMs have at most 1024 rows at 32
+# channels (774 at L=1000) and 64 or 128 columns; ten alternating runs of
+# the benchmark's paper-shape evaluate showed no stall.
 _TOEPLITZ_BLOCK = 4
+
+# Kernel width from which the forward runs the block-Toeplitz GEMMs; below
+# it, one GEMM per tap. The block form does (M+1)*g/k the multiply-adds of
+# the per-tap one, 1.125x at k=32 and 1.5x at k=8, in fewer, wider GEMMs,
+# plus the M blocks a phase computes past its last output, and pays per
+# call for staging the input phase-major, building the bands and unpacking
+# y. One forward, min of 7 or 30 in two rounds (2-vCPU Xeon,
+# numpy 2.4.6, OpenBLAS 0.3.31), per-tap against block:
+#   B=64, L=1000, C=O=32: k=8 24.2-24.9 against 21.5-21.6 ms, k=16
+#   45.1-45.8 against 32.7-33.4, k=32 82.7-90.3 against 55.1-56.4;
+#   an IG pass's B=25, L=200, C=O=16: k=8 0.66-0.67 against 1.19-1.22 ms,
+#   k=12 0.96-1.00 against 1.30-1.35, k=16 1.28-1.30 against 1.34-1.35,
+#   k=32 2.50-2.51 against 2.03-2.09.
+# End to end, the block form on every conv took the benchmark's k=8 IG
+# workload (motifs_small_mean) from 7.6-8.0 to 5.4-5.7 items/s in three
+# alternating pairs. The cutoff reads k alone, so a layer's decimated and
+# full-resolution forwards always take the same form.
+_TOEPLITZ_FORWARD_MIN_K = 16
 
 
 def _toeplitz_layout(k, d, s, length):
-    """Block layout of the tap loop's backward: (g, step, phases, blocks).
+    """Block layout of the conv's block-Toeplitz forward and backward:
+    (g, step, phases, blocks).
 
-    The backward runs at stride ``step``: s, or 1 for a dilated strided
-    conv, whose output gradient it spreads to every position. Positions go
-    in blocks of g, a multiple of ``step``. A dilation-d conv is d
-    interleaved dilation-1 convs, its phases: phase r holds the positions
-    r, r+d, r+2d, ... The input as dW stages it, (k-1)*d zeros then x then
-    zeros, has phases * blocks * g rows, and each phase's last M = (g+k-2)//g
-    blocks lie past its last output's block: a block of outputs reads its
-    own input block and the next M.
+    Both run at stride ``step``: s, or 1 for a dilated strided conv, whose
+    forward computes every position and whose backward spreads the output
+    gradient to every position. Positions go in blocks of g, a multiple of
+    ``step``. A dilation-d conv is d interleaved dilation-1 convs, its
+    phases: phase r holds the positions r, r+d, r+2d, ... The input as the
+    forward and dW stage it, (k-1)*d zeros then x then zeros, has
+    phases * blocks * g rows, and each phase's last M = (g+k-2)//g blocks
+    lie past its last output's block: a block of outputs reads its own
+    input block and the next M.
     """
     if k == 1:
         d = 1  # one tap: the dilation moves nothing
@@ -265,20 +294,88 @@ def _fold_bands(dbands, k, g, step, lead):
     return np.ascontiguousarray(dwr[::-1].transpose(2, 1, 0))
 
 
-def _conv_taploop(x, p, need_dx):
-    """One batched GEMM per kernel tap forward over the input array ``x``
-    [B, L, C_in] after (k-1)*d zeros; a block-Toeplitz backward. It is the
-    only conv kernel, forward and backward.
+def _taploop_forward(x, weights, bias, d, s):
+    """y of the conv by one batched GEMM per kernel tap: tap j multiplies
+    the padded x[:, t + j*d, :] by W[:, :, k-1-j]^T at every emitted
+    position t = L-1 (mod s). It pads one block of records at a time, a
+    temporary that no backward keeps."""
+    nb, length, in_ch = x.shape
+    out_ch, _, k = weights.shape
+    outputs = (length - 1) // s + 1
+    pad = (k - 1) * d
+    first = (length - 1) % s
+    windows = [slice(j * d + first, j * d + length, s) for j in range(k)]
+    taps = [np.ascontiguousarray(weights[:, :, k - 1 - j].T) for j in range(k)]
+    y = np.empty((nb, outputs, out_ch), dtype=np.float32)
+    y[:] = bias
+    records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (outputs * out_ch))
+    for r in range(0, nb, records):
+        yr = y[r:r + records]
+        xr = np.zeros((len(yr), pad + length, in_ch), dtype=np.float32)
+        xr[:, pad:] = x[r:r + records]
+        for j in range(k):
+            yr += np.matmul(xr[:, windows[j], :], taps[j])
+    return y
 
-    The forward pads one block of records at a time, a temporary that no
-    backward keeps. The backward groups positions into the blocks of
-    ``_toeplitz_layout``. With the banded matrices T_m of
-    ``_toeplitz_bands``, block i of the output gradient G feeds input
-    blocks i..i+M: dX[i+m] += G[i] @ T_m^T, per record, and dW folds
-    D_m = X^T @ G, one GEMM per m over every block row of a chunk of
-    records, back onto the k taps (``_fold_bands``). Each record's (and
-    phase's) last M blocks of G are zero, which keeps records and phases
-    apart. The backward computes dx only when ``need_dx``.
+
+def _toeplitz_forward(x, weights, bias, d, s):
+    """y of the conv by the backward's block layout and bands: output block
+    i is Y[i] = bias + sum_m X[i+m] @ T_m, m = 0..M.
+
+    Each chunk of records is staged phase-major, (k-1) zeros per phase then
+    the phase's inputs, and runs one 2-D GEMM per band over all its block
+    rows. Each record's and phase's last M output blocks read the next
+    record's or phase's rows: they lie past its last output and absorb the
+    spill, as in dW. A dilated strided conv runs at stride 1 and keeps
+    every s-th position."""
+    nb, length, in_ch = x.shape
+    out_ch, _, k = weights.shape
+    g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
+    # T_m as C-order [g*C, (g/step)*O]: OpenBLAS rounds a product of few
+    # rows by a transposed operand otherwise than the same rows of a taller
+    # one, which would tie y's bits to how the batch is cut
+    bands = np.ascontiguousarray(_toeplitz_bands(
+        weights, g, step, (length - 1) % step).transpose(0, 2, 1))
+    rows = phases * blocks  # block rows per record
+    width = (length - 1) // step + 1  # positions the blocks compute
+    y = np.empty((nb, (length - 1) // s + 1, out_ch), dtype=np.float32)
+    per = max(1, _TAPLOOP_BLOCK_ELEMENTS // (rows * g * max(in_ch, out_ch)))
+    for r0 in range(0, nb, per):
+        xr = x[r0:r0 + per]
+        n = len(xr) * rows
+        xb = _phase_major(xr, phases, blocks * g, k - 1).reshape(n, -1)
+        yb = xb @ bands[0]
+        for m in range(1, len(bands)):
+            yb[:n - m] += xb[m:] @ bands[m]
+        yp = yb.reshape(len(xr), phases, -1, out_ch)
+        yr = y[r0:r0 + per] if step == s else np.empty(
+            (len(xr), width, out_ch), dtype=np.float32)
+        for r in range(phases):
+            np.add(yp[:, r, :len(range(r, width, phases))], bias,
+                   out=yr[:, r::phases])
+        if step < s:
+            y[r0:r0 + per] = yr[:, (length - 1) % s::s]
+    return y
+
+
+def _conv_taploop(x, p, need_dx):
+    """The conv kernel, forward and backward, over the input array ``x``
+    [B, L, C_in]: ``(y, backward_fn)``.
+
+    A conv of kernel width k >= ``_TOEPLITZ_FORWARD_MIN_K`` runs its
+    forward in the block-Toeplitz form of the backward
+    (``_toeplitz_forward``); a narrower one runs one batched GEMM per tap
+    (``_taploop_forward``). The choice depends on k only, so a layer's
+    decimated and full-resolution forwards take the same form.
+
+    The backward groups positions into the blocks of ``_toeplitz_layout``.
+    With the banded matrices T_m of ``_toeplitz_bands``, block i of the
+    output gradient G feeds input blocks i..i+M: dX[i+m] += G[i] @ T_m^T,
+    per record, and dW folds D_m = X^T @ G, one GEMM per m over every block
+    row of a chunk of records, back onto the k taps (``_fold_bands``). Each
+    record's (and phase's) last M blocks of G are zero, which keeps records
+    and phases apart. The backward computes dx only when ``need_dx``, and
+    rebuilds its bands rather than keep the forward's.
 
     For dW the backward keeps ``x``, the input array itself and not a
     copy (the op's node keeps only a data-less handle of its input
@@ -288,23 +385,11 @@ def _conv_taploop(x, p, need_dx):
     nb, length, in_ch = x.shape
     out_ch, _, k = p.weights.shape
     d, s = p.dilation, p.stride
-    outputs = (length - 1) // s + 1
-    pad = (k - 1) * d
-    # tap j multiplies the padded x[:, t + j*d, :] by W[:, :, k-1-j]^T at
-    # every emitted position t = L-1 (mod s)
-    first = (length - 1) % s
-    windows = [slice(j * d + first, j * d + length, s) for j in range(k)]
+    first = (length - 1) % s  # first position emitted
     weights = p.weights.data
-    taps = [np.ascontiguousarray(weights[:, :, k - 1 - j].T) for j in range(k)]
-    y = np.empty((nb, outputs, out_ch), dtype=np.float32)
-    y[:] = p.bias.data
-    records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (outputs * out_ch))
-    for r in range(0, nb, records):
-        yr = y[r:r + records]
-        xr = np.zeros((len(yr), pad + length, in_ch), dtype=np.float32)
-        xr[:, pad:] = x[r:r + records]
-        for j in range(k):
-            yr += np.matmul(xr[:, windows[j], :], taps[j])
+    forward = (_toeplitz_forward if k >= _TOEPLITZ_FORWARD_MIN_K
+               else _taploop_forward)
+    y = forward(x, weights, p.bias.data, d, s)
     need_db = ad.needs_grad(p.bias)
     saved = x if ad.needs_grad(p.weights) else None  # kept for dW only
     g, step, phases, blocks = _toeplitz_layout(k, d, s, length)

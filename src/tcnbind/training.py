@@ -178,6 +178,16 @@ def check_training_sets(train_ds: EncodedDataset, val_ds: EncodedDataset,
                         f"positive label, so average precision is undefined")
 
 
+def hold_out(ds: EncodedDataset, seed: int
+             ) -> tuple[EncodedDataset, EncodedDataset]:
+    """(train, validation) for a run given no validation set: 20% of the
+    records of ``ds``, at least one, drawn by a permutation from ``seed``,
+    are held out for monitoring, and the rest train."""
+    order = np.random.default_rng(seed).permutation(len(ds))
+    n_val = max(1, int(0.2 * len(ds)))
+    return ds.subset(order[n_val:]), ds.subset(order[:n_val])
+
+
 def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
           cfg: TrainConfig,
           monitor_fn: Optional[Callable[[TcnModel, EncodedDataset], float]] = None,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -200,11 +203,12 @@ class TestConvStride:
 
 
 class TestTapLoopRecordBlocks:
-    """The tap loop's forward runs its per-tap GEMMs, and its backward
-    stages G and computes dx, one block of records at a time; each record's
-    GEMMs are the same calls, so y and dx keep their bits however the batch
-    is cut. dW sums its per-block GEMMs, so it keeps them only to float32
-    rounding."""
+    """The conv's forward, per-tap or block-Toeplitz, and its backward's
+    staging of G and dx run one block of records at a time. Each record's
+    per-tap and dx GEMMs are the same calls, and each row of the block
+    form's 2-D GEMMs gets the bits it gets in a taller product, so y and dx
+    keep their bits however the batch is cut. dW sums its per-block GEMMs,
+    so it keeps them only to float32 rounding."""
 
     # 5 records of 13 (stride 1) or 7 (stride 2) output rows, 4 channels:
     # forward blocks of one record, and of 2-4 records with a shorter last
@@ -222,12 +226,26 @@ class TestTapLoopRecordBlocks:
                                                      block_rows):
         self.check(monkeypatch, dilation, stride, block_rows)
 
+    # k=32 runs the block-Toeplitz forward, whose blocks of records count
+    # block rows of 4 positions x 32 channels: 12 rows a record at dilation
+    # 1, so blocks of 1, 2, 3 and all 5 records; 30 at dilation 3, so
+    # blocks of 1 and 2. A record's GEMMs at stride 2 are small enough that
+    # OpenBLAS would round them otherwise with a transposed band.
+    @pytest.mark.parametrize("dilation", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 100, 150, 250])
+    def test_wide_kernel_blocks_keep_the_bits(self, monkeypatch, dilation,
+                                              stride, block_rows):
+        self.check(monkeypatch, dilation, stride, block_rows, k=32,
+                   in_ch=32, out_ch=32)
+
     @staticmethod
-    def check(monkeypatch, dilation, stride, block_rows):
-        p = replace(conv_params(50, out_ch=4, in_ch=3, k=3, dilation=dilation),
-                    stride=stride)
+    def check(monkeypatch, dilation, stride, block_rows, k=3, in_ch=3,
+              out_ch=4):
+        p = replace(conv_params(50, out_ch=out_ch, in_ch=in_ch, k=k,
+                                dilation=dilation), stride=stride)
         rng = np.random.default_rng(51)
-        x = Tensor(rng.uniform(-1, 1, (5, 13, 3)).astype(np.float32),
+        x = Tensor(rng.uniform(-1, 1, (5, 13, in_ch)).astype(np.float32),
                    requires_grad=True)
 
         def run():
@@ -236,9 +254,11 @@ class TestTapLoopRecordBlocks:
             return (y.data, *y.node.backward_fn(g.astype(np.float32)))
 
         whole_y, whole_dx, whole_dw, whole_db = run()
-        # one block by default
-        assert 5 * 13 * 4 <= tcn_model._TAPLOOP_BLOCK_ELEMENTS
-        monkeypatch.setattr(tcn_model, "_TAPLOOP_BLOCK_ELEMENTS", 4 * block_rows)
+        # one block by default: 5 records of at most 30 block rows of 4
+        # positions, or 13 output rows
+        assert 5 * 30 * 4 * out_ch <= tcn_model._TAPLOOP_BLOCK_ELEMENTS
+        monkeypatch.setattr(tcn_model, "_TAPLOOP_BLOCK_ELEMENTS",
+                            out_ch * block_rows)
         y, dx, dw, db = run()
         np.testing.assert_array_equal(y, whole_y)
         np.testing.assert_array_equal(dx, whole_dx)
@@ -299,6 +319,40 @@ class TestBlockToeplitzBackward:
                                                                  length)
             assert g % step == 0 and s % step == 0
             assert phases * blocks * g >= (k - 1) * d + length
+
+
+class TestBlockToeplitzForward:
+    """The conv's forward against the float64 naive-convolution oracle,
+    read at the emitted positions, over the grid of
+    ``TestBlockToeplitzBackward``, at kernel widths on both sides of
+    ``_TOEPLITZ_FORWARD_MIN_K``: the per-tap forward below it, the
+    block-Toeplitz one from it. float32 sums of at most k * C_in + 1 terms
+    in [-1, 1]: within 1e-5 of y's largest entry."""
+
+    WIDTHS = [1, 2, 8, 16, 32]
+
+    def test_widths_span_the_cutoff(self):
+        assert (min(self.WIDTHS) < tcn_model._TOEPLITZ_FORWARD_MIN_K
+                <= max(self.WIDTHS))
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_the_naive_oracle(self, k, dilation, stride):
+        for length, in_ch in [(1, 1), (3, 3), (7, 1), (37, 3)]:
+            p = replace(conv_params(60 + k, out_ch=2, in_ch=in_ch, k=k,
+                                    dilation=dilation, scale=1.0),
+                        stride=stride)
+            x = np.random.default_rng(61 + length).uniform(
+                -1, 1, (2, length, in_ch)).astype(np.float32)
+            y = conv1d_causal(Tensor(x), p).data
+            want = np.stack([
+                naive_causal_conv(r, p.weights.data, p.bias.data, dilation)
+                for r in x])[:, (length - 1) % stride::stride]
+            assert y.shape == want.shape
+            np.testing.assert_allclose(
+                y, want, rtol=0, atol=1e-5 * np.abs(want).max(),
+                err_msg=f"y at L={length}, C_in={in_ch}")
 
 
 class TestConvGradientNeeds:
@@ -488,6 +542,44 @@ class TestModelForward:
         assert any(np.abs(p.grad).max() > 0 for p in tiny_model.params.values())
 
 
+# One no-grad forward at the paper shape (L=1000, k=32, 6 blocks, 32
+# channels, `last` readout) of 16 records: its block-Toeplitz convs run 2-D
+# GEMMs of hundreds of rows. Prints the logits' bytes as hex.
+PAPER_FORWARD = """
+import numpy as np
+from tcnbind import autodiff as ad
+from tcnbind.autodiff import Tensor
+from tcnbind.model import ModelConfig, TcnModel
+model = TcnModel.initialize(ModelConfig(input_length=1000, num_labels=4),
+                            np.random.default_rng(1))
+x = np.random.default_rng(2).uniform(0, 1, (16, 1000, 4)).astype(np.float32)
+with ad.no_grad():
+    print(model.forward(Tensor(x)).data.tobytes().hex())
+"""
+
+
+class TestBlasThreadCount:
+    """Scores depend on the seed only, not on how many threads OpenBLAS
+    runs. The count is read when numpy loads, so each run is its own
+    process."""
+
+    @staticmethod
+    def logits_hex(threads):
+        src = os.path.dirname(os.path.dirname(tcn_model.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        done = subprocess.run([sys.executable, "-c", PAPER_FORWARD], env=env,
+                              capture_output=True, text=True, timeout=300,
+                              check=True)
+        return done.stdout.strip()
+
+    def test_paper_forward_keeps_its_bits_on_one_and_two_threads(self):
+        one = self.logits_hex(1)
+        assert len(one) == 2 * 16 * 4 * 4  # 16 x 4 float32 logits
+        assert self.logits_hex(2) == one
+
+
 # Shapes for the decimated `last` forward (receptive field, then length):
 DECIMATION_SHAPES = {
     "odd_length_rf_below_length": dict(input_length=33),         # rf 15
@@ -561,12 +653,19 @@ class TestDecimatedForward:
                                    rtol=1e-5, atol=1e-6)
 
     def test_larger_shape_across_conv_kernels(self):
+        self.check_larger_shape(kernel_size=16)
+
+    def test_larger_shape_at_the_paper_kernel_width(self):
+        self.check_larger_shape(kernel_size=32)
+
+    @staticmethod
+    def check_larger_shape(kernel_size):
         # The decimated blocks run shorter GEMMs that BLAS may block and
         # sum in another order: agreement to float32 rounding, stated as
-        # rtol 1e-4.
+        # rtol 1e-4. Both widths run the block-Toeplitz forward.
         cfg = ModelConfig(input_length=1000, num_labels=2, cnn_layers=1,
                           cnn_kernels=32, tcn_blocks=3, tcn_channels=32,
-                          kernel_size=16, mlp_hidden=8, dropout=0.3)
+                          kernel_size=kernel_size, mlp_hidden=8, dropout=0.3)
         model = TcnModel.initialize(cfg, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 1, (8, 1000, 4)).astype(np.float32)
@@ -641,7 +740,19 @@ class TestWhatATrainingStepKeeps:
     @pytest.mark.parametrize("needs_x_grad", [True, False])
     def test_conv_node_keeps_no_padded_copy(self, dilation, stride,
                                             needs_x_grad):
-        p = replace(conv_params(72, out_ch=4, in_ch=3, k=3,
+        self.check_conv_node(3, dilation, stride, needs_x_grad)
+
+    # k=32 runs the block-Toeplitz forward, whose bands the backward
+    # rebuilds rather than keeps
+    @pytest.mark.parametrize("dilation,stride", [(1, 1), (1, 2), (3, 1)])
+    @pytest.mark.parametrize("needs_x_grad", [True, False])
+    def test_wide_conv_node_keeps_no_bands(self, dilation, stride,
+                                           needs_x_grad):
+        self.check_conv_node(32, dilation, stride, needs_x_grad)
+
+    @staticmethod
+    def check_conv_node(k, dilation, stride, needs_x_grad):
+        p = replace(conv_params(72, out_ch=4, in_ch=3, k=k,
                                 dilation=dilation), stride=stride)
         x = Tensor(np.random.default_rng(73).uniform(-1, 1, (2, 11, 3))
                    .astype(np.float32), requires_grad=needs_x_grad)

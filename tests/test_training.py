@@ -14,8 +14,9 @@ from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, split_dat
 from tcnbind.model import TcnModel
 from tcnbind.training import (AdamState, ModelCheckpoint, TrainConfig,
                               TrainingDiverged, adam_step, bce_multilabel_loss,
-                              build_model, ensure_dataset_fits, load_checkpoint,
-                              lr_schedule, predict_scores, save_checkpoint, train)
+                              build_model, ensure_dataset_fits, hold_out,
+                              load_checkpoint, lr_schedule, predict_scores,
+                              save_checkpoint, train)
 
 
 class TestBceLoss:
@@ -131,6 +132,30 @@ def small_model(length=32, labels=2, seed=5, **overrides):
                   kernel_size=6, mlp_hidden=16, dropout=0.0)
     kwargs.update(overrides)
     return TcnModel.initialize(tiny_config(**kwargs), np.random.default_rng(seed))
+
+
+class TestHoldOut:
+    """The seeded 20% a run without a validation set monitors on."""
+
+    @pytest.mark.parametrize("n,n_val", [(1, 1), (4, 1), (5, 1), (10, 2),
+                                         (16, 3), (80, 16)])
+    def test_sizes(self, n, n_val):
+        ds = overfit_dataset(n=n)
+        train_ds, val_ds = hold_out(ds, seed=0)
+        assert (len(train_ds), len(val_ds)) == (n - n_val, n_val)
+        # a partition of the records
+        seqs = sorted(train_ds.sequences + val_ds.sequences)
+        assert seqs == sorted(ds.sequences)
+
+    def test_the_seed_alone_draws_the_split(self):
+        ds = overfit_dataset(n=40)
+        want = np.random.default_rng(7).permutation(40)[:8]
+        for _ in range(2):
+            _, val_ds = hold_out(ds, seed=7)
+            assert val_ds.sequences == [ds.sequences[i] for i in want]
+            np.testing.assert_array_equal(val_ds.labels, ds.labels[want])
+        _, other = hold_out(ds, seed=8)
+        assert other.sequences != val_ds.sequences
 
 
 class TestTrainLoop:
