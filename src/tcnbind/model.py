@@ -134,11 +134,11 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
     Every conv runs ``_conv_taploop``, whether or not its op records a
     gradient, so a no-grad forward gives the bits of a recorded one. Its
-    forward takes the block-Toeplitz form for kernel widths from
-    ``_TOEPLITZ_FORWARD_MIN_K`` and one GEMM per tap below. Its
-    block-Toeplitz backward returns ``None`` for each of x, W and b that
-    needs no gradient (``ad.needs_grad``, judged now), so a frozen model's
-    backward computes dx only.
+    forward and its backward's dx take the block-Toeplitz form for kernel
+    widths from ``_TOEPLITZ_FORWARD_MIN_K`` and one GEMM per tap below; dW
+    takes the block form at every width. The backward returns ``None`` for
+    each of x, W and b that needs no gradient (``ad.needs_grad``, judged
+    now), so a frozen model's backward computes dx only.
     """
     in_ch = p.weights.shape[1]
     if x.ndim != 3 or x.shape[-1] != in_ch:
@@ -199,10 +199,8 @@ _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
 # The 14 conv backwards of one paper-shape train step (B=64, L=1000,
 # C=O=32, k=32, stride-2 conv2s; min of 3, three interleaved rounds) took
 # 510-539 ms at g=2, 469-486 at 4 and 426-465 at 8 (804-813 ms for the
-# per-tap backward); the dx of an IG pass (B=25, L=200, C=16, k=8, summed
-# over d=1,2,4,8) 2.6-3.7, 2.4-3.7 and 3.5-4.3 ms. 4 is within 10% of 8 on
-# the train step and does not slow the IG pass (2-vCPU Xeon, numpy 2.4.6,
-# OpenBLAS 0.3.31).
+# per-tap backward). 4 is within 10% of 8 on the train step (2-vCPU Xeon,
+# numpy 2.4.6, OpenBLAS 0.3.31).
 #
 # No GEMM here is a 2-D product of thousands of rows and few columns: with
 # OpenBLAS's two threads on a 2-vCPU host such a product stalls in some
@@ -214,8 +212,9 @@ _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
 # the benchmark's paper-shape evaluate showed no stall.
 _TOEPLITZ_BLOCK = 4
 
-# Kernel width from which the forward runs the block-Toeplitz GEMMs; below
-# it, one GEMM per tap. The block form does (M+1)*g/k the multiply-adds of
+# Kernel width from which the forward and the backward's dx run the
+# block-Toeplitz GEMMs; below it, one GEMM per tap. dW runs the block form
+# at every width. The block form does (M+1)*g/k the multiply-adds of
 # the per-tap one, 1.125x at k=32 and 1.5x at k=8, in fewer, wider GEMMs,
 # plus the M blocks a phase computes past its last output, and pays per
 # call for staging the input phase-major, building the bands and unpacking
@@ -228,8 +227,13 @@ _TOEPLITZ_BLOCK = 4
 #   k=32 2.50-2.51 against 2.03-2.09.
 # End to end, the block form on every conv took the benchmark's k=8 IG
 # workload (motifs_small_mean) from 7.6-8.0 to 5.4-5.7 items/s in three
-# alternating pairs. The cutoff reads k alone, so a layer's decimated and
-# full-resolution forwards always take the same form.
+# alternating pairs. The dx of an IG pass's convs (B=25, L=200, C=O=16,
+# k=8; min of 50 in two rounds) took 0.87-1.8 ms per conv in the block form
+# at d=1, 2, 4 and 8 against 0.38-0.59 ms per tap; its ten convs, the thin
+# C_in=4 cnn.0 among them, 15.6-15.7 against 4.5-4.6 ms in three rounds.
+# At B=64, L=1000, C=O=32, k=8 it took 30-43 against 15-19 ms. The cutoff
+# reads k alone, so a layer's decimated and full-resolution passes always
+# take the same form.
 _TOEPLITZ_FORWARD_MIN_K = 16
 
 
@@ -318,6 +322,30 @@ def _taploop_forward(x, weights, bias, d, s):
     return y
 
 
+def _taploop_input_grad(g, weights, d, s, length):
+    """dx of the conv by one batched GEMM per kernel tap, the transpose of
+    ``_taploop_forward``: tap i adds G[t] @ W[:, :, i] to dx[t - i*d], the
+    taps from k-1 down, as the forward sums them. A strided conv's G is
+    first spread to every position, zeros off the emitted ones, so its dx
+    adds the terms of the stride-1 one. Runs one block of records at a
+    time."""
+    nb, _, out_ch = g.shape
+    _, in_ch, k = weights.shape
+    first = (length - 1) % s
+    taps = [np.ascontiguousarray(weights[:, :, i]) for i in range(k)]
+    dx = np.zeros((nb, length, in_ch), dtype=np.float32)
+    records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (length * max(in_ch, out_ch)))
+    for r in range(0, nb, records):
+        dxr, gr = dx[r:r + records], g[r:r + records]
+        if s > 1:
+            gr = np.zeros((len(dxr), length, out_ch), dtype=np.float32)
+            gr[:, first::s] = g[r:r + records]
+        for i in range(k - 1, -1, -1):
+            if i * d < length:
+                dxr[:, :length - i * d] += np.matmul(gr[:, i * d:], taps[i])
+    return dx
+
+
 def _toeplitz_forward(x, weights, bias, d, s):
     """y of the conv by the backward's block layout and bands: output block
     i is Y[i] = bias + sum_m X[i+m] @ T_m, m = 0..M.
@@ -364,18 +392,21 @@ def _conv_taploop(x, p, need_dx):
 
     A conv of kernel width k >= ``_TOEPLITZ_FORWARD_MIN_K`` runs its
     forward in the block-Toeplitz form of the backward
-    (``_toeplitz_forward``); a narrower one runs one batched GEMM per tap
-    (``_taploop_forward``). The choice depends on k only, so a layer's
-    decimated and full-resolution forwards take the same form.
+    (``_toeplitz_forward``), and so does its backward's dx; a narrower one
+    runs both as one batched GEMM per tap (``_taploop_forward``,
+    ``_taploop_input_grad``). The choice depends on k only, so a layer's
+    decimated and full-resolution passes take the same form.
 
-    The backward groups positions into the blocks of ``_toeplitz_layout``.
-    With the banded matrices T_m of ``_toeplitz_bands``, block i of the
-    output gradient G feeds input blocks i..i+M: dX[i+m] += G[i] @ T_m^T,
-    per record, and dW folds D_m = X^T @ G, one GEMM per m over every block
-    row of a chunk of records, back onto the k taps (``_fold_bands``). Each
+    The block-Toeplitz backward groups positions into the blocks of
+    ``_toeplitz_layout``. With the banded matrices T_m of
+    ``_toeplitz_bands``, block i of the output gradient G feeds input
+    blocks i..i+M: dX[i+m] += G[i] @ T_m^T, per record, and dW folds
+    D_m = X^T @ G, one GEMM per m over every block row of a chunk of
+    records, back onto the k taps (``_fold_bands``), at every k. Each
     record's (and phase's) last M blocks of G are zero, which keeps records
     and phases apart. The backward computes dx only when ``need_dx``, and
-    rebuilds its bands rather than keep the forward's.
+    rebuilds its bands rather than keep the forward's; a dx-only backward
+    below the cutoff stages nothing in the block layout.
 
     For dW the backward keeps ``x``, the input array itself and not a
     copy (the op's node keeps only a data-less handle of its input
@@ -387,9 +418,10 @@ def _conv_taploop(x, p, need_dx):
     d, s = p.dilation, p.stride
     first = (length - 1) % s  # first position emitted
     weights = p.weights.data
-    forward = (_toeplitz_forward if k >= _TOEPLITZ_FORWARD_MIN_K
-               else _taploop_forward)
+    wide = k >= _TOEPLITZ_FORWARD_MIN_K
+    forward = _toeplitz_forward if wide else _taploop_forward
     y = forward(x, weights, p.bias.data, d, s)
+    block_dx = need_dx and wide
     need_db = ad.needs_grad(p.bias)
     saved = x if ad.needs_grad(p.weights) else None  # kept for dW only
     g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
@@ -403,12 +435,14 @@ def _conv_taploop(x, p, need_dx):
         dx = dw = db = None
         if need_db:
             db = gd.sum(axis=(0, 1), dtype=np.float64).astype(np.float32)
-        if saved is None and not need_dx:
+        if need_dx and not wide:
+            dx = _taploop_input_grad(gd, weights, d, s, length)
+        if saved is None and not block_dx:
             return dx, dw, db
         if saved is not None:
             dbands = np.zeros((band + 1, g * in_ch, (g // step) * out_ch),
                               dtype=np.float32)
-        if need_dx:
+        if block_dx:
             tt = _toeplitz_bands(weights, g, step, lead)
             dx = np.empty((nb, length, in_ch), dtype=np.float32)
         for r0 in range(0, nb, per):
@@ -425,7 +459,7 @@ def _conv_taploop(x, p, need_dx):
                 gf = gr.reshape(n, -1)
                 for m in range(band + 1):
                     dbands[m] += xb[m:].T @ gf[:n - m]
-            if need_dx:
+            if block_dx:
                 gb = gr.reshape(-1, rows, (g // step) * out_ch)
                 # M spare rows per record take the zero rows' products
                 dxb = np.zeros((len(gb), rows + band, g * in_ch),

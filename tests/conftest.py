@@ -1,10 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import tcnbind
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
 from tcnbind.model import ModelConfig, TcnModel
@@ -37,6 +41,20 @@ def closure_arrays(fn):
         elif callable(item) and getattr(item, "__closure__", None):
             stack.extend(cell.cell_contents for cell in item.__closure__)
     return found
+
+
+def stdout_on_blas_threads(script: str, threads: int) -> str:
+    """What the Python ``script`` prints, run in a fresh process under
+    ``OPENBLAS_NUM_THREADS=threads``: OpenBLAS reads the count when numpy
+    loads, so each count needs its own process."""
+    src = os.path.dirname(os.path.dirname(tcnbind.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    return done.stdout.strip()
 
 
 def rewrite_checkpoint_config(path, edit):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LinearProbe, label_names, sample_ids, tiny_config
+from conftest import (LinearProbe, label_names, sample_ids,
+                      stdout_on_blas_threads, tiny_config)
 
 from tcnbind import autodiff as ad
 from tcnbind.autodiff import Tensor
@@ -119,6 +120,40 @@ class TestIntegratedGradients:
                                    [self.baseline, self.baseline], steps=9,
                                    label_name="MYC", sample_id="s0")
         assert (out.label, out.sample_id) == ("MYC", "s0")
+
+
+# One IG map (3 baselines x 4 steps) from a frozen model of the benchmark's
+# small attribution shape: L=200, k=8, 4 blocks of 16 channels, `mean`
+# readout. Prints the map's bytes as hex.
+SMALL_MEAN_MAP = """
+import numpy as np
+from tcnbind.attribution import integrated_gradients, make_shuffled_baselines
+from tcnbind.data import one_hot
+from tcnbind.model import ModelConfig, TcnModel
+from tcnbind.training import ModelCheckpoint, build_model
+config = ModelConfig(input_length=200, num_labels=4, cnn_layers=2,
+                     cnn_kernels=16, tcn_blocks=4, tcn_channels=16,
+                     kernel_size=8, mlp_hidden=32, dropout=0.5,
+                     classifier_input="mean")
+model = build_model(ModelCheckpoint(
+    config, ["A", "B", "C", "D"],
+    TcnModel.initialize(config, np.random.default_rng(1)).parameter_arrays()))
+rng = np.random.default_rng(2)
+seq = "".join(rng.choice(list("ACGT"), 200))
+ig = integrated_gradients(model, one_hot(seq), 0,
+                          make_shuffled_baselines(seq, 3, rng), steps=4)
+print(ig.scores.tobytes().hex())
+"""
+
+
+class TestIgBlasThreadCount:
+    """An IG map depends on its inputs only, not on how many threads
+    OpenBLAS runs."""
+
+    def test_map_keeps_its_bits_on_one_and_two_threads(self):
+        one = stdout_on_blas_threads(SMALL_MEAN_MAP, 1)
+        assert len(one) == 2 * 200 * 4 * 8  # [200, 4] float64 scores
+        assert stdout_on_blas_threads(SMALL_MEAN_MAP, 2) == one
 
 
 class TestActualBaseScores:

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (closure_arrays, measured_receptive_field, mul_const,
-                      naive_causal_conv, reference_forward, tiny_config)
+                      naive_causal_conv, reference_forward,
+                      stdout_on_blas_threads, tiny_config)
 
 from tcnbind import autodiff as ad
 from tcnbind import model as tcn_model
@@ -21,7 +19,7 @@ from tcnbind.model import (Conv1dParams, ModelConfig, TcnBlockParams, TcnModel,
                            parameter_shapes,
                            conv1d_causal, init_parameters, receptive_field,
                            tcn_block)
-from tcnbind.training import (TrainConfig, _sigmoid_stable,
+from tcnbind.training import (ModelCheckpoint, TrainConfig, _sigmoid_stable,
                               bce_multilabel_loss, build_model,
                               predict_scores, train)
 
@@ -212,7 +210,8 @@ class TestTapLoopRecordBlocks:
 
     # 5 records of 13 (stride 1) or 7 (stride 2) output rows, 4 channels:
     # forward blocks of one record, and of 2-4 records with a shorter last
-    # block; backward blocks of one record, and of two at 48 rows
+    # block; dW blocks of one record, and of two at 48 rows; per-tap dx
+    # blocks of 1-3 records
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("block_rows", [1, 26, 30, 48])
     def test_blocks_keep_the_bits(self, monkeypatch, stride, block_rows):
@@ -282,14 +281,21 @@ def direct_conv_backward(x, w, dilation, stride, g):
     return dx, dw, g.sum(axis=(0, 1))
 
 
+# Kernel widths on both sides of ``_TOEPLITZ_FORWARD_MIN_K``, for the
+# conv's forward and backward oracles
+CONV_WIDTHS = [1, 2, 8, 16, 32]
+
+
 class TestBlockToeplitzBackward:
-    """The tap loop's block-Toeplitz backward against float64 direct sums,
-    over kernel widths, dilations and strides, with lengths below the block
-    size (4) and the kernel width and lengths that are no block multiple.
+    """The conv's backward against float64 direct sums, over kernel widths
+    on both sides of ``_TOEPLITZ_FORWARD_MIN_K``, dilations and strides,
+    with lengths below the block size (4) and the kernel width and lengths
+    that are no block multiple. dW runs in the block-Toeplitz form at every
+    width; dx runs per tap below the cutoff and in the block form from it.
     float32 sums of at most k * C_in * ceil(L/s) products of terms in
     [-1, 1]: within 1e-5 of each array's largest entry."""
 
-    @pytest.mark.parametrize("k", [1, 2, 8, 32])
+    @pytest.mark.parametrize("k", CONV_WIDTHS)
     @pytest.mark.parametrize("dilation", [1, 2, 3, 8])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_matches_direct_sums(self, k, dilation, stride):
@@ -329,13 +335,11 @@ class TestBlockToeplitzForward:
     block-Toeplitz one from it. float32 sums of at most k * C_in + 1 terms
     in [-1, 1]: within 1e-5 of y's largest entry."""
 
-    WIDTHS = [1, 2, 8, 16, 32]
-
     def test_widths_span_the_cutoff(self):
-        assert (min(self.WIDTHS) < tcn_model._TOEPLITZ_FORWARD_MIN_K
-                <= max(self.WIDTHS))
+        assert (min(CONV_WIDTHS) < tcn_model._TOEPLITZ_FORWARD_MIN_K
+                <= max(CONV_WIDTHS))
 
-    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("k", CONV_WIDTHS)
     @pytest.mark.parametrize("dilation", [1, 2, 3, 8])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_matches_the_naive_oracle(self, k, dilation, stride):
@@ -418,6 +422,39 @@ class TestConvCensus:
         # one no-grad forward of F(x) and F(x'_b); one path forward per
         # baseline, which records dx
         assert census == {True: 10, False: 5}
+
+
+class TestNarrowInputGradient:
+    """An IG map differentiates a frozen model's input only. A conv
+    narrower than ``_TOEPLITZ_FORWARD_MIN_K`` runs that dx per tap, as its
+    forward, and stages nothing in the block-Toeplitz layout."""
+
+    def test_narrow_ig_map_stages_nothing(self, monkeypatch):
+        calls = Counter()
+        for name in ("_phase_major", "_toeplitz_bands"):
+            def counting(*args, _name=name, _fn=getattr(tcn_model, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tcn_model, name, counting)
+
+        def ig_map(kernel_size):
+            config = tiny_config(num_labels=1, kernel_size=kernel_size,
+                                 classifier_input="mean")
+            model = build_model(ModelCheckpoint(
+                config, ["A"], TcnModel.initialize(
+                    config, np.random.default_rng(8)).parameter_arrays()))
+            seq = "ACGGTCAT" * 4
+            integrated_gradients(model, one_hot(seq), 0,
+                                 make_shuffled_baselines(
+                                     seq, 2, np.random.default_rng(9)),
+                                 steps=3)
+
+        assert tcn_model._TOEPLITZ_FORWARD_MIN_K > 8
+        ig_map(8)
+        assert calls == {}
+        # the counters see the block form where it runs
+        ig_map(tcn_model._TOEPLITZ_FORWARD_MIN_K)
+        assert calls["_phase_major"] > 0 and calls["_toeplitz_bands"] > 0
 
 
 class TestTcnBlock:
@@ -560,24 +597,12 @@ with ad.no_grad():
 
 class TestBlasThreadCount:
     """Scores depend on the seed only, not on how many threads OpenBLAS
-    runs. The count is read when numpy loads, so each run is its own
-    process."""
-
-    @staticmethod
-    def logits_hex(threads):
-        src = os.path.dirname(os.path.dirname(tcn_model.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": src if not path else src + os.pathsep + path}
-        done = subprocess.run([sys.executable, "-c", PAPER_FORWARD], env=env,
-                              capture_output=True, text=True, timeout=300,
-                              check=True)
-        return done.stdout.strip()
+    runs."""
 
     def test_paper_forward_keeps_its_bits_on_one_and_two_threads(self):
-        one = self.logits_hex(1)
+        one = stdout_on_blas_threads(PAPER_FORWARD, 1)
         assert len(one) == 2 * 16 * 4 * 4  # 16 x 4 float32 logits
-        assert self.logits_hex(2) == one
+        assert stdout_on_blas_threads(PAPER_FORWARD, 2) == one
 
 
 # Shapes for the decimated `last` forward (receptive field, then length):
