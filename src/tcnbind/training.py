@@ -22,7 +22,15 @@ logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"TCNB"
 CHECKPOINT_VERSION = 1
-PREDICT_BATCH = 256
+# Records per scoring forward. Each activation of a forward is a
+# [B, L, C] array, 16 MB at B=128, L=1000, 32 channels, while the conv
+# kernels stage only a few records at a time. Against 256, 64 took the
+# benchmark's paper-shape evaluate (128 records) from 88.6 to 65.5 MB
+# peak RSS in 10 of 10 pairs, at 222 against 221 items/s in the median
+# (205 against 211 at another seed; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS
+# 0.3.31). 32 reached 54 MB, but against 64 it lost 6-9% items/s in 2 of
+# 4 pairs and was within 1% in the other two.
+PREDICT_BATCH = 64
 
 
 class TrainingDiverged(RuntimeError):
@@ -136,13 +144,21 @@ def lr_schedule(epoch: int, total_epochs: int, lr_max: float,
 
 
 def predict_scores(model: TcnModel, inputs: np.ndarray) -> np.ndarray:
-    """Sigmoid scores [N, k] from a frozen model (dropout off, no graph),
-    ``PREDICT_BATCH`` rows per forward."""
+    """Sigmoid scores [N, k] from a frozen model (dropout off, no graph).
+
+    The rows go in forwards of ``PREDICT_BATCH``, and a last row left
+    alone joins the forward before it, so a forward has one row only when
+    N = 1. That keeps each record's bits those of one N-row forward: numpy
+    runs a one-row head matmul as a matrix-vector product, whose logits
+    differ in the last bits, and OpenBLAS rounds the rows of a GEMM by
+    their offset in it (at 3 labels the last N mod 4 rows otherwise than
+    the rest), so every forward starts at a multiple of ``PREDICT_BATCH``.
+    """
+    cuts = range(PREDICT_BATCH, len(inputs) - 1, PREDICT_BATCH)
     outputs = []
     with ad.no_grad():
-        for start in range(0, len(inputs), PREDICT_BATCH):
-            logits = model.forward(Tensor(inputs[start:start + PREDICT_BATCH]),
-                                   training=False)
+        for part in np.split(inputs, cuts) if len(inputs) else []:
+            logits = model.forward(Tensor(part), training=False)
             outputs.append(_sigmoid_stable(logits.data))
     return np.concatenate(outputs) if outputs else np.zeros((0, model.config.num_labels))
 

@@ -359,6 +359,43 @@ class TestBlockToeplitzForward:
                 err_msg=f"y at L={length}, C_in={in_ch}")
 
 
+class TestToeplitzBands:
+    """``_toeplitz_bands`` against each entry filled from its definition:
+    [m, (r, o), (q, c)] is W[o, c, k-1-j] for the tap
+    j = m*g + q - lead - step*r, and 0 where no tap is; the forward's
+    layout is the same matrices transposed, in C order. Over the layouts
+    ``_toeplitz_layout`` gives, widths below the block (k < g) among
+    them."""
+
+    @staticmethod
+    def oracle(weights, g, step, lead):
+        out_ch, in_ch, k = weights.shape
+        bands = np.zeros(((g + k - 2) // g + 1, g // step, out_ch, g, in_ch),
+                         dtype=np.float32)
+        for m, r, q in np.ndindex(bands.shape[0], g // step, g):
+            j = m * g + q - lead - step * r
+            if 0 <= j < k:
+                bands[m, r, :, q, :] = weights[:, :, k - 1 - j]
+        return bands.reshape(len(bands), (g // step) * out_ch, g * in_ch)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16, 32])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_matches_the_definition(self, k, stride, dilation):
+        weights = np.random.default_rng(k).uniform(
+            -1, 1, (2, 3, k)).astype(np.float32)
+        for length in (1, 5, 17, 63):
+            g, step, _, _ = tcn_model._toeplitz_layout(k, dilation, stride,
+                                                       length)
+            lead = (length - 1) % step
+            want = self.oracle(weights, g, step, lead)
+            backward = tcn_model._toeplitz_bands(weights, g, step, lead)
+            forward = tcn_model._toeplitz_bands(weights, g, step, lead, True)
+            assert forward.flags.c_contiguous
+            np.testing.assert_array_equal(backward, want)
+            np.testing.assert_array_equal(forward, want.transpose(0, 2, 1))
+
+
 class TestConvGradientNeeds:
     """The conv's backward is sized by the gradients the op must
     produce."""
@@ -739,23 +776,26 @@ class TestWhatATrainingStepKeeps:
     """A training step's graph keeps only what each backward reads. A node
     keeps a parent an op produced as a data-less handle, so an activation
     that no backward reads (a conv output, a relu output) is freed in the
-    forward. Dropout and relu keep a bool mask, a conv the input array its
-    dW reads, a matmul the operands of the other one's gradient. The
-    backward frees each op's arrays once it has run it, and a tensor the
-    caller still holds then reaches none."""
+    forward. Relu keeps a bool mask, dropout its mask packed to bits, a
+    conv the input array its dW reads, a matmul the operands of the other
+    one's gradient. The backward frees each op's arrays once it has run
+    it, and a tensor the caller still holds then reaches none."""
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_dropout_node_keeps_only_a_bool_mask(self, stride):
+    def test_dropout_node_keeps_only_the_mask_bits(self, stride):
         rng = np.random.default_rng(70)
         x = Tensor(rng.uniform(-1, 1, (2, 5, 3)).astype(np.float32),
                    requires_grad=True)
         y = tcn_model.dropout(x, 0.3, True, np.random.default_rng(71),
                               length=13, stride=stride)
         assert len(y.node.parents) == 1 and y.node.parents[0] is x
-        arrays = closure_arrays(y.node.backward_fn)
-        assert arrays and all(a.dtype == bool for a in arrays)
         draws = np.random.default_rng(71).random(
             (2, 5 if stride == 1 else 13, 3), dtype=np.float32)[:, ::stride]
+        # 30 values in ceil(30/8) = 4 bytes
+        [bits] = closure_arrays(y.node.backward_fn)
+        assert bits.dtype == np.uint8 and bits.nbytes == 4
+        np.testing.assert_array_equal(
+            np.unpackbits(bits, count=30).reshape(x.shape), draws >= 0.3)
         keep = (draws >= 0.3).astype(np.float32) / np.float32(0.7)
         g = rng.uniform(-1, 1, x.shape).astype(np.float32)
         np.testing.assert_array_equal(y.data, x.data * keep)
@@ -788,7 +828,9 @@ class TestWhatATrainingStepKeeps:
 
     def test_forward_frees_what_no_backward_reads(self, monkeypatch):
         conv, relu, matmul = tcn_model.conv1d_causal, ad.relu, ad.matmul
+        dropout = tcn_model.dropout
         conv_inputs, conv_outputs, relu_outputs, operands = [], [], [], []
+        dropped = []  # values per dropout mask
 
         def spy_conv(x, p):
             y = conv(x, p)
@@ -804,7 +846,12 @@ class TestWhatATrainingStepKeeps:
         def spy_matmul(a, b):
             operands.extend((weakref.ref(a.data), weakref.ref(b.data)))
             return matmul(a, b)
+
+        def spy_dropout(x, *args, **kwargs):
+            dropped.append(x.data.size)
+            return dropout(x, *args, **kwargs)
         monkeypatch.setattr(tcn_model, "conv1d_causal", spy_conv)
+        monkeypatch.setattr(tcn_model, "dropout", spy_dropout)
         monkeypatch.setattr(ad, "relu", spy_relu)
         monkeypatch.setattr(ad, "matmul", spy_matmul)
 
@@ -824,9 +871,12 @@ class TestWhatATrainingStepKeeps:
         assert len(live) == cfg.tcn_blocks - 1
         assert all(any(a is b for b in kept) for a in live)
         held = graph_arrays(logits)
-        assert any(a.dtype == bool for a in held)  # relu and dropout masks
+        assert any(a.dtype == bool for a in held)  # relu masks
+        # a dropout mask of n values is kept as ceil(n/8) bytes
+        bits = [a.nbytes for a in held if a.dtype == np.uint8]
+        assert bits and sorted(bits) == sorted(-(-n // 8) for n in dropped)
         assert all(any(a is b for b in kept)
-                   for a in held if a.dtype != bool)
+                   for a in held if a.dtype not in (bool, np.uint8))
         del kept, live, held
 
         loss = bce_multilabel_loss(logits, rng.integers(0, 2, (3, 3)))

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,16 @@ from hypothesis import given, settings
 from conftest import model_configs, rewrite_checkpoint_config, tiny_config
 
 from tcnbind import autodiff as ad
+from tcnbind import training
 from tcnbind.autodiff import Tensor
 from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, split_dataset
 from tcnbind.model import TcnModel
 from tcnbind.training import (AdamState, ModelCheckpoint, TrainConfig,
-                              TrainingDiverged, adam_step, bce_multilabel_loss,
-                              build_model, ensure_dataset_fits, hold_out,
-                              load_checkpoint, lr_schedule, predict_scores,
-                              save_checkpoint, train)
+                              TrainingDiverged, _sigmoid_stable, adam_step,
+                              bce_multilabel_loss, build_model,
+                              ensure_dataset_fits, hold_out, load_checkpoint,
+                              lr_schedule, predict_scores, save_checkpoint,
+                              train)
 
 
 class TestBceLoss:
@@ -296,6 +299,37 @@ class TestCheckpoints:
         scores = predict_scores(model, x)
         assert scores.shape == (8, 2)
         assert ((scores > 0) & (scores < 1)).all()
+
+    @pytest.mark.parametrize("n", [65, 66, 67, 129])
+    def test_scores_keep_the_bits_of_one_forward(self, n):
+        # scoring in several forwards gives each record the bits of one
+        # N-row forward; at this shape a record alone in a forward, or one
+        # at another offset in a shorter one, gets other logit bits
+        assert training.PREDICT_BATCH == 64
+        model = small_model(length=64, labels=3, seed=6, cnn_kernels=16,
+                            tcn_channels=16, kernel_size=8, mlp_hidden=32)
+        x = np.random.default_rng(7).uniform(0, 1, (n, 64, 4)).astype(
+            np.float32)
+        with ad.no_grad():
+            want = _sigmoid_stable(model.forward(Tensor(x)).data)
+        assert predict_scores(model, x).tobytes() == want.tobytes()
+
+    def test_scoring_memory_is_bounded(self):
+        # 4x the records: the traced peak grows by at most the 4x input
+        # and its scores, plus 10% of the peak of one forward's worth
+        model = small_model(length=200, labels=3, seed=8, cnn_kernels=16,
+                            tcn_blocks=3, tcn_channels=16, kernel_size=32)
+        x = np.random.default_rng(9).uniform(
+            0, 1, (4 * training.PREDICT_BATCH, 200, 4)).astype(np.float32)
+        peaks = []
+        for n in (training.PREDICT_BATCH, len(x)):
+            tracemalloc.start()
+            try:
+                scores = predict_scores(model, x[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0] + x.nbytes + scores.nbytes
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.update({"tcn.0.conv1.weight": np.zeros((8, 8, 5),
