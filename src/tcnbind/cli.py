@@ -1,5 +1,6 @@
 """Command-line pipeline: dataset construction, synthetic benchmarks,
-splitting, training, evaluation, attribution, and motif extraction.
+splitting, training, evaluation, attribution, and motif extraction. It
+only parses flags, reads and writes files and maps errors to exit codes.
 
 Exit codes; every failure ends with a one-line message on stderr:
   0  success;
@@ -18,19 +19,17 @@ Exit codes; every failure ends with a one-line message on stderr:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
-from . import __version__
 from . import attribution as attr
 from . import data as dat
 from . import metrics as met
 from . import training as trn
-from .model import ModelConfig, TcnModel, parse_field, receptive_field
+from .model import ModelConfig, parse_field
 
 logger = logging.getLogger("tcnbind")
 
@@ -39,7 +38,6 @@ DEFAULT_MOTIFS = ("CACGTG", "TTTCGCGC", "TGACTCA", "GGGCGG",
 
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 _TRAIN_KEYS = {f.name for f in fields(trn.TrainConfig)}
-_DERIVED_KEYS = {"input_length", "num_labels"}  # cross-checked, set by dataset
 
 
 class UsageError(Exception):
@@ -119,42 +117,6 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
     return resolved
 
 
-def _config_hash(resolved: dict) -> str:
-    text = "\n".join(f"{k}={resolved[k]}" for k in sorted(resolved))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def _provenance(resolved: dict, seed) -> list[str]:
-    digest = _config_hash(resolved)
-    logger.info("resolved config (hash %s): %s", digest,
-                " ".join(f"{k}={v}" for k, v in sorted(resolved.items())))
-    return [f"tcnbind {__version__} config_hash={digest} seed={seed}"]
-
-
-def _train_config(resolved: dict) -> trn.TrainConfig:
-    try:
-        return trn.TrainConfig(**{k: v for k, v in resolved.items()
-                                  if k in _TRAIN_KEYS})
-    except ValueError as exc:
-        raise UsageError(f"invalid configuration: {exc}") from None
-
-
-def _split_configs(resolved: dict, ds: dat.EncodedDataset):
-    model_kwargs = {k: v for k, v in resolved.items() if k in _MODEL_KEYS}
-    for key in _DERIVED_KEYS:
-        derived = ds.sequence_length if key == "input_length" else ds.num_labels
-        if key in model_kwargs and model_kwargs[key] != derived:
-            raise dat.DataError(
-                f"config {key}={model_kwargs[key]} conflicts with dataset value "
-                f"{derived}")
-        model_kwargs[key] = derived
-    try:
-        model_cfg = ModelConfig(**model_kwargs)
-    except ValueError as exc:
-        raise UsageError(f"invalid configuration: {exc}") from None
-    return model_cfg, _train_config(resolved)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,7 +147,7 @@ def cmd_build_dataset(args) -> int:
         genome = dat.parse_fasta(fh)
     ds = dat.build_dataset(peak_sets, genome, window=args.window)
     resolved = {"window": args.window, "peaks": ",".join(sorted(peak_sets))}
-    dat.save_dataset(ds, args.out, _provenance(resolved, seed="-"))
+    dat.save_dataset(ds, args.out, [trn.provenance(resolved, "-")])
     logger.info("wrote %d records across %d labels to %s",
                 len(ds), ds.num_labels, args.out)
     return 0
@@ -224,8 +186,12 @@ def cmd_synth(args) -> int:
                              co_occurrence=co_occurrence, noise=args.noise)
     ds = dat.generate_synthetic(spec, np.random.default_rng(args.seed))
     resolved = {"n": args.n, "length": args.length, "noise": args.noise,
-                "motifs": ",".join(f"{k}:{v}" for k, v in motifs.items())}
-    dat.save_dataset(ds, args.out, _provenance(resolved, args.seed))
+                "motifs": ",".join(f"{k}:{v}" for k, v in motifs.items()),
+                "marginals": ",".join(f"{k}:{spec.marginals[k]}"
+                                      for k in motifs),
+                "co_occurrence": ";".join(f"{a},{b}:{p}" for (a, b), p
+                                          in sorted(co_occurrence.items()))}
+    dat.save_dataset(ds, args.out, [trn.provenance(resolved, args.seed)])
     logger.info("wrote %d synthetic records to %s", len(ds), args.out)
     return 0
 
@@ -235,7 +201,7 @@ def cmd_split(args) -> int:
     train, val, test = dat.split_dataset(ds, args.train_frac, args.val_frac,
                                          args.seed)
     resolved = {"train_frac": args.train_frac, "val_frac": args.val_frac}
-    header = _provenance(resolved, args.seed)
+    header = [trn.provenance(resolved, args.seed)]
     for part, name in ((train, "train"), (val, "val"), (test, "test")):
         path = f"{args.out_prefix}.{name}.tsv"
         dat.save_dataset(part, path, header)
@@ -251,33 +217,14 @@ def cmd_train(args) -> int:
         resolved["seed"] = args.seed
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
-    if val_ds is None:
-        # drawn from the run seed however it was given
-        train_ds, val_ds = trn.hold_out(train_ds, _train_config(resolved).seed)
-    # data errors first: an empty set has no input_length to derive
-    trn.check_training_sets(train_ds, val_ds, train_ds.num_labels)
-    model_cfg, train_cfg = _split_configs(resolved, train_ds)
-    resolved = {**asdict(model_cfg), **asdict(train_cfg)}
-    header = _provenance(resolved, train_cfg.seed)
-
-    model = TcnModel.initialize(model_cfg, np.random.default_rng(train_cfg.seed))
-    logger.info("receptive field %d for input length %d",
-                receptive_field(model_cfg), model_cfg.input_length)
-    ckpt, history = trn.train(model, train_ds, val_ds, train_cfg)
-    trn.save_checkpoint(ckpt, args.out, extra={
-        "tool_version": __version__,
-        "config_hash": _config_hash(resolved),
-        "seed": str(train_cfg.seed)})
+    ckpt, history = trn.run_training(resolved, train_ds, val_ds)
+    trn.save_checkpoint(ckpt, args.out)
     logger.info("best %s %.5f at epoch %s; checkpoint -> %s",
-                train_cfg.monitor, float(ckpt.metadata["best_value"]),
+                ckpt.metadata["monitor"], float(ckpt.metadata["best_value"]),
                 ckpt.metadata["epoch"], args.out)
     if args.history:
         with open(args.history, "w", encoding="ascii") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            for row in history:
-                fh.write(" ".join(f"{k}={v:.6g}" if isinstance(v, float)
-                                  else f"{k}={v}" for k, v in row.items()) + "\n")
+            fh.write(history)
     return 0
 
 
@@ -296,10 +243,9 @@ def cmd_evaluate(args) -> int:
     report = met.metrics_report(scores, ds.labels, ds.label_names,
                                 threshold=args.threshold)
     resolved = {"threshold": args.threshold, "model": args.model}
-    header = _provenance(resolved, ckpt.metadata.get("seed", "-"))
+    header = trn.provenance(resolved, ckpt.metadata.get("seed", "-"))
     with open(args.out, "w", encoding="ascii") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
+        fh.write(f"# {header}\n")
         fh.write(met.render_report(report))
     logger.info("micro AP %.4f; report -> %s",
                 report.summary["ap_micro"], args.out)
@@ -322,8 +268,10 @@ def cmd_attribute(args) -> int:
         model, ds, targets, np.random.default_rng(args.seed), steps=args.steps,
         baselines=args.baselines, max_samples=count, threads=args.threads)
     resolved = {"steps": args.steps, "baselines": args.baselines,
-                "samples": count}
-    attr.write_attribution_maps(maps, args.out, _provenance(resolved, args.seed))
+                "samples": count,
+                "labels": ",".join(ds.label_names[t] for t in targets)}
+    attr.write_attribution_maps(maps, args.out,
+                                [trn.provenance(resolved, args.seed)])
     logger.info("wrote %d attribution maps to %s", len(maps), args.out)
     return 0
 
@@ -340,8 +288,10 @@ def cmd_motifs(args) -> int:
             max_seqs=args.max_seqs, null_count=args.null_count,
             window=args.window, threads=args.threads))
     resolved = {"window": args.window, "steps": args.steps,
-                "baselines": args.baselines, "max_seqs": args.max_seqs}
-    attr.write_pwms(pwms, args.out, _provenance(resolved, args.seed))
+                "baselines": args.baselines, "max_seqs": args.max_seqs,
+                "null_count": args.null_count,
+                "labels": ",".join(ds.label_names[t] for t in targets)}
+    attr.write_pwms(pwms, args.out, [trn.provenance(resolved, args.seed)])
     logger.info("wrote %d PWMs to %s", len(pwms), args.out)
     return 0
 
@@ -443,7 +393,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, trn.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (dat.DataError, OSError, UnicodeError) as exc:

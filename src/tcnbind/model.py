@@ -427,7 +427,9 @@ def _conv_taploop(x, p, need_dx):
     """
     nb, length, in_ch = x.shape
     out_ch, _, k = p.weights.shape
-    d, s = p.dilation, p.stride
+    # at d >= L every tap past the first reads only the causal zeros, so
+    # the conv is the d = L one, whose staging does not grow with d
+    d, s = min(p.dilation, length), p.stride
     first = (length - 1) % s  # first position emitted
     weights = p.weights.data
     wide = k >= _TOEPLITZ_FORWARD_MIN_K

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import tcnbind
-from tcnbind import cli
+from tcnbind import cli, training
 from tcnbind.data import (EncodedDataset, SyntheticSpec, generate_synthetic,
                           load_dataset, save_dataset)
 from tcnbind.model import TcnModel, format_field
-from tcnbind.training import ModelCheckpoint, load_checkpoint, save_checkpoint
+from tcnbind.training import (ModelCheckpoint, load_checkpoint,
+                              save_checkpoint, train)
 
 from conftest import (model_configs, rewrite_checkpoint_config, tiny_config,
                       train_configs)
@@ -122,6 +124,33 @@ class TestTrainEvaluatePipeline:
         assert run(*common, "--seed", 5, "--out", a) == 0
         assert run(*common, "--set", "seed=5", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_history_file_has_provenance_and_one_line_per_epoch(
+            self, tmp_path, synth_file, pipeline_config, monkeypatch):
+        returned = []
+
+        def recording(*args, **kwargs):
+            result = train(*args, **kwargs)
+            returned.append(result[1])
+            return result
+
+        monkeypatch.setattr(training, "train", recording)
+        ckpt_path, history = tmp_path / "m.ckpt", tmp_path / "history.txt"
+        assert run("train", "--dataset", synth_file, "--config",
+                   pipeline_config, "--history", history,
+                   "--out", ckpt_path) == 0
+        lines = history.read_text(encoding="ascii").splitlines()
+        header = re.fullmatch(
+            r"# tcnbind (\S+) config_hash=([0-9a-f]{12}) seed=(\d+)", lines[0])
+        assert header is not None, lines[0]
+        meta = load_checkpoint(ckpt_path).metadata
+        assert header.groups() == (tcnbind.__version__, meta["config_hash"],
+                                   "3")
+        # the config runs 3 epochs with patience 5: no early stop
+        assert len(returned) == 1 and len(returned[0]) == 3
+        assert lines[1:] == [
+            f"epoch={row['epoch']} loss={row['loss']:.6g} lr={row['lr']:.6g} "
+            f"micro_ap={row['micro_ap']:.6g}" for row in returned[0]]
 
     def test_flag_overrides_config(self, tmp_path, synth_file, pipeline_config):
         out = tmp_path / "o.ckpt"
@@ -432,6 +461,54 @@ def test_config_file_round_trips_every_field(tmp_path, model, run):
 def test_unset_optional_field(text):
     assert cli.load_run_config(None, [f"cnn_kernel_size={text}"]) == {
         "cnn_kernel_size": None}
+
+
+# ---------------------------------------------------------------------------
+# an output's header hash covers every flag that changes its body
+
+HASHED_FLAGS = {
+    "synth_marginal": ("synth", ["--marginal", "TF0=0.2"]),
+    "synth_co_occur": ("synth", ["--co-occur", "TF0,TF1=0.9"]),
+    "attribute_label": ("attribute", ["--label", "TF1"]),
+    "motifs_label": ("motifs", ["--label", "TF1"]),
+    "motifs_null_count": ("motifs", ["--null-count", "10"]),
+}
+COMMON_ARGS = {
+    "synth": ["--n", 20, "--length", 16, "--seed", 1],
+    "attribute": ["--steps", 4, "--baselines", 2, "--max-samples", 2,
+                  "--label", "TF0"],
+    "motifs": ["--steps", 4, "--baselines", 2, "--max-seqs", 6,
+               "--window", 7, "--label", "TF0", "--null-count", 3],
+}
+
+
+def header_hash(path) -> str:
+    line = Path(path).read_text().splitlines()[0]
+    return re.search(r"config_hash=(\w+)", line).group(1)
+
+
+@pytest.mark.parametrize("case", [*HASHED_FLAGS, "attribute_threads",
+                                  "motifs_threads"])
+def test_header_hash_follows_the_flags_that_change_the_body(
+        case, tmp_path, synth_file, pipeline_config):
+    if case in HASHED_FLAGS:
+        command, variant = HASHED_FLAGS[case]
+    else:  # the thread count changes no output byte
+        command, variant = case.split("_")[0], ["--threads", 2]
+    argv = [command, *COMMON_ARGS[command]]
+    if command != "synth":
+        ckpt = tmp_path / "m.ckpt"
+        assert run("train", "--dataset", synth_file, "--config",
+                   pipeline_config, "--set", "epochs=1", "--out", ckpt) == 0
+        argv += ["--dataset", synth_file, "--model", ckpt]
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert run(*argv, "--out", a) == 0
+    # argparse keeps the last of a repeated flag
+    assert run(*argv, *variant, "--out", b) == 0
+    if case in HASHED_FLAGS:
+        assert header_hash(a) != header_hash(b)
+    else:
+        assert header_hash(a) == header_hash(b)
 
 
 # ---------------------------------------------------------------------------

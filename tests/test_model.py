@@ -359,6 +359,43 @@ class TestBlockToeplitzForward:
                 err_msg=f"y at L={length}, C_in={in_ch}")
 
 
+class TestDilationPastTheLength:
+    """Once d >= L every tap past the first reads only the causal zeros, so
+    the conv is the d = L one. Its kernels must see d = L, or they stage
+    (k-1)*d pad rows and d phases: 2^19 of them here, for a 10-position
+    input. The spies fail at the call, before any staging."""
+
+    @pytest.mark.parametrize("k", [3, 32])  # per-tap and block-Toeplitz
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_the_oracles_with_bounded_staging(self, monkeypatch, k,
+                                                      stride):
+        length, dilation = 10, 2 ** 19
+        for name, at in (("_taploop_forward", 3), ("_toeplitz_forward", 3),
+                         ("_taploop_input_grad", 2), ("_toeplitz_layout", 1)):
+            def spy(*args, _fn=getattr(tcn_model, name), _at=at):
+                assert args[_at] <= length, f"staged at d={args[_at]}"
+                return _fn(*args)
+            monkeypatch.setattr(tcn_model, name, spy)
+        p = replace(conv_params(70 + k, out_ch=2, in_ch=3, k=k,
+                                dilation=dilation, scale=1.0), stride=stride)
+        rng = np.random.default_rng(71)
+        x = Tensor(rng.uniform(-1, 1, (2, length, 3)).astype(np.float32),
+                   requires_grad=True)
+        y = conv1d_causal(x, p)
+        want = np.stack([
+            naive_causal_conv(r, p.weights.data, p.bias.data, dilation)
+            for r in x.data])[:, (length - 1) % stride::stride]
+        np.testing.assert_allclose(y.data, want, rtol=0,
+                                   atol=1e-5 * np.abs(want).max())
+        g = rng.uniform(-1, 1, y.shape).astype(np.float32)
+        got = y.node.backward_fn(g)
+        expected = direct_conv_backward(x.data, p.weights.data, dilation,
+                                        stride, g)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=1e-5 * np.abs(b).max())
+
+
 class TestToeplitzBands:
     """``_toeplitz_bands`` against each entry filled from its definition:
     [m, (r, o), (q, c)] is W[o, c, k-1-j] for the tap

@@ -170,20 +170,27 @@ class TestTrainLoop:
         assert history[-1]["loss"] < history[0]["loss"]
         assert min(h["loss"] for h in history) < 0.15
 
-    def test_patience_one_constant_metric_stops_after_two_epochs(self):
+    # the monitored value is the validation micro AP, which these tests
+    # set epoch by epoch through training.average_precision
+
+    def test_patience_one_constant_metric_stops_after_two_epochs(
+            self, monkeypatch):
         ds = overfit_dataset(n=16)
         model = small_model()
+        monkeypatch.setattr(training, "average_precision",
+                            lambda scores, labels: 0.5)
         cfg = TrainConfig(batch_size=8, epochs=20, lr_max=1e-3, patience=1, seed=2)
-        _, history = train(model, ds, ds, cfg, monitor_fn=lambda m, d: 0.5)
+        _, history = train(model, ds, ds, cfg)
         assert len(history) == 2
 
-    def test_best_snapshot_never_worse_than_any_epoch(self):
+    def test_best_snapshot_never_worse_than_any_epoch(self, monkeypatch):
         ds = overfit_dataset(n=16)
         model = small_model()
         values = iter([0.3, 0.8, 0.5, 0.9, 0.2, 0.1, 0.05, 0.0])
+        monkeypatch.setattr(training, "average_precision",
+                            lambda scores, labels: next(values))
         cfg = TrainConfig(batch_size=8, epochs=8, lr_max=1e-3, patience=8, seed=3)
-        ckpt, history = train(model, ds, ds, cfg,
-                              monitor_fn=lambda m, d: next(values))
+        ckpt, history = train(model, ds, ds, cfg)
         best = float(ckpt.metadata["best_value"])
         assert best == max(h["micro_ap"] for h in history)
         assert ckpt.metadata["epoch"] == "3"
