@@ -135,18 +135,30 @@ def _probability(text: str, flag: str) -> float:
         raise UsageError(f"{flag}: bad probability: {exc}") from None
 
 
+def _input_digests(args, *flags) -> dict[str, str]:
+    """The ``trn.file_digest`` of the file each of ``flags`` names, "-" for
+    one not given: a header hashes its inputs' bytes, not their paths."""
+    paths = {flag: getattr(args, flag) for flag in flags}
+    return {flag: trn.file_digest(path) if path else "-"
+            for flag, path in paths.items()}
+
+
 def cmd_build_dataset(args) -> int:
     peak_sets: dict[str, list[dat.GenomicInterval]] = {}
+    peak_digests = []
     for spec in args.peaks:
         name, path = _split_spec(spec, "--peaks", "NAME=path")
         if name in peak_sets:
             raise UsageError(f"duplicate peak label {name!r}")
         with dat.open_text(path, "utf-8") as fh:
             peak_sets[name] = dat.parse_bed(fh)
+        peak_digests.append(f"{name}:{trn.file_digest(path)}")
     with dat.open_text(args.genome, "utf-8") as fh:
         genome = dat.parse_fasta(fh)
     ds = dat.build_dataset(peak_sets, genome, window=args.window)
-    resolved = {"window": args.window, "peaks": ",".join(sorted(peak_sets))}
+    # in flag order, the order of the label registry
+    resolved = {"window": args.window, "peaks": ",".join(peak_digests),
+                **_input_digests(args, "genome")}
     dat.save_dataset(ds, args.out, [trn.provenance(resolved, "-")])
     logger.info("wrote %d records across %d labels to %s",
                 len(ds), ds.num_labels, args.out)
@@ -200,7 +212,8 @@ def cmd_split(args) -> int:
     ds = dat.load_dataset(args.dataset)
     train, val, test = dat.split_dataset(ds, args.train_frac, args.val_frac,
                                          args.seed)
-    resolved = {"train_frac": args.train_frac, "val_frac": args.val_frac}
+    resolved = {"train_frac": args.train_frac, "val_frac": args.val_frac,
+                **_input_digests(args, "dataset")}
     header = [trn.provenance(resolved, args.seed)]
     for part, name in ((train, "train"), (val, "val"), (test, "test")):
         path = f"{args.out_prefix}.{name}.tsv"
@@ -217,7 +230,8 @@ def cmd_train(args) -> int:
         resolved["seed"] = args.seed
     if args.epochs is not None:
         resolved["epochs"] = args.epochs
-    ckpt, history = trn.run_training(resolved, train_ds, val_ds)
+    ckpt, history = trn.run_training(resolved, train_ds, val_ds,
+                                     _input_digests(args, "dataset", "val"))
     trn.save_checkpoint(ckpt, args.out)
     logger.info("best %s %.5f at epoch %s; checkpoint -> %s",
                 ckpt.metadata["monitor"], float(ckpt.metadata["best_value"]),
@@ -242,7 +256,8 @@ def cmd_evaluate(args) -> int:
     scores = trn.predict_scores(model, ds.onehot())
     report = met.metrics_report(scores, ds.labels, ds.label_names,
                                 threshold=args.threshold)
-    resolved = {"threshold": args.threshold, "model": args.model}
+    resolved = {"threshold": args.threshold,
+                **_input_digests(args, "dataset", "model")}
     header = trn.provenance(resolved, ckpt.metadata.get("seed", "-"))
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(f"# {header}\n")
@@ -269,7 +284,8 @@ def cmd_attribute(args) -> int:
         baselines=args.baselines, max_samples=count, threads=args.threads)
     resolved = {"steps": args.steps, "baselines": args.baselines,
                 "samples": count,
-                "labels": ",".join(ds.label_names[t] for t in targets)}
+                "labels": ",".join(ds.label_names[t] for t in targets),
+                **_input_digests(args, "dataset", "model")}
     attr.write_attribution_maps(maps, args.out,
                                 [trn.provenance(resolved, args.seed)])
     logger.info("wrote %d attribution maps to %s", len(maps), args.out)
@@ -290,7 +306,8 @@ def cmd_motifs(args) -> int:
     resolved = {"window": args.window, "steps": args.steps,
                 "baselines": args.baselines, "max_seqs": args.max_seqs,
                 "null_count": args.null_count,
-                "labels": ",".join(ds.label_names[t] for t in targets)}
+                "labels": ",".join(ds.label_names[t] for t in targets),
+                **_input_digests(args, "dataset", "model")}
     attr.write_pwms(pwms, args.out, [trn.provenance(resolved, args.seed)])
     logger.info("wrote %d PWMs to %s", len(pwms), args.out)
     return 0

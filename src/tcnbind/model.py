@@ -176,7 +176,7 @@ def _conv_im2col(xpad, p, nb, length):
 # the block-Toeplitz forward and the backward count their largest staged
 # array. Each record's per-tap GEMMs are the same calls as unblocked, and
 # each row of a block-Toeplitz GEMM gets the bits it gets in a taller one,
-# so y keeps its bits however the batch is cut.
+# so y and dx keep their bits however the batch is cut.
 # Measured on the per-tap forward, when it ran every conv: min of 7 in two
 # rounds (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31), whole batch against
 # 4096 rows of 32 channels, 66-73 against 62-68 ms at B=64, L=1000,
@@ -205,11 +205,11 @@ _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
 # No GEMM here is a 2-D product of thousands of rows and few columns: with
 # OpenBLAS's two threads on a 2-vCPU host such a product stalls in some
 # phases of the host, (1300x64)@(64x64) 4.8-8.0 ms against 0.07 ms in
-# others, where the 3-D batch of 25 records took 0.10 ms. dX runs 3-D
-# per-record matmuls; dW's X^T @ G has its many rows in K. The
-# block-Toeplitz forward's 2-D GEMMs have at most 1024 rows at 32
-# channels (774 at L=1000) and 64 or 128 columns; ten alternating runs of
-# the benchmark's paper-shape evaluate showed no stall.
+# others, where the 3-D batch of 25 records took 0.10 ms. dW's X^T @ G
+# has its many rows in K. The forward's and dX's 2-D GEMMs run over the
+# block rows of one chunk of records, at most 1024 at 32 channels (774 at
+# L=1000), with 64 or 128 columns; ten alternating runs of the benchmark's
+# paper-shape evaluate showed no stall.
 _TOEPLITZ_BLOCK = 4
 
 # Kernel width from which the forward and the backward's dx run the
@@ -227,13 +227,12 @@ _TOEPLITZ_BLOCK = 4
 #   k=32 2.50-2.51 against 2.03-2.09.
 # End to end, the block form on every conv took the benchmark's k=8 IG
 # workload (motifs_small_mean) from 7.6-8.0 to 5.4-5.7 items/s in three
-# alternating pairs. The dx of an IG pass's convs (B=25, L=200, C=O=16,
-# k=8; min of 50 in two rounds) took 0.87-1.8 ms per conv in the block form
-# at d=1, 2, 4 and 8 against 0.38-0.59 ms per tap; its ten convs, the thin
-# C_in=4 cnn.0 among them, 15.6-15.7 against 4.5-4.6 ms in three rounds.
-# At B=64, L=1000, C=O=32, k=8 it took 30-43 against 15-19 ms. The cutoff
-# reads k alone, so a layer's decimated and full-resolution passes always
-# take the same form.
+# alternating pairs. One dx at an IG pass's shape (B=25, L=200, C=O=16,
+# k=8; min of 50 in three rounds) took 0.43-0.92 ms in the block form at
+# d=1 and 0.68-1.33 at d=8, against 0.59-0.61 and 0.64-0.67 ms per tap;
+# at B=64, L=1000, C=O=32, k=8 (min of 5), 15.6-16.0 against 19.8-20.5 ms.
+# The cutoff reads k alone, so a layer's decimated and full-resolution
+# passes always take the same form.
 _TOEPLITZ_FORWARD_MIN_K = 16
 
 
@@ -250,6 +249,12 @@ def _toeplitz_layout(k, d, s, length):
     phases * blocks * g rows, and each phase's last M = (g+k-2)//g blocks
     lie past its last output's block: a block of outputs reads its own
     input block and the next M.
+
+    So the forward, dX and dW each run one 2-D GEMM per band over the flat
+    block rows of a chunk of records, with no rows between records or
+    phases. Each record's and phase's last M output blocks read the next
+    one's rows, and are dropped; their G is zero, so what dX[i+m] and D_m
+    take across a record or phase boundary is exact zeros.
     """
     if k == 1:
         d = 1  # one tap: the dilation moves nothing
@@ -268,6 +273,16 @@ def _phase_major(a, phases, rows, offset=0):
         part = a[:, r::phases]
         out[:, r, offset:offset + part.shape[1]] = part
     return out.reshape(a.shape[0], phases * rows, a.shape[2])
+
+
+def _from_phase_major(a, phases, shape, offset=0):
+    """The [B, n, C] ``shape`` back from ``_phase_major``'s rows, flat or
+    not: position r + phases*u from row r*rows + offset + u. A view when
+    ``phases`` is 1."""
+    nb, n, c = shape
+    longest = -(-n // phases)  # positions of phase 0
+    a = a.reshape(nb, phases, -1, c)[:, :, offset:offset + longest]
+    return a.transpose(0, 2, 1, 3).reshape(nb, -1, c)[:, :n]
 
 
 def _toeplitz_bands(weights, g, step, lead, forward=False):
@@ -365,10 +380,8 @@ def _toeplitz_forward(x, weights, bias, d, s):
 
     Each chunk of records is staged phase-major, (k-1) zeros per phase then
     the phase's inputs, and runs one 2-D GEMM per band over all its block
-    rows. Each record's and phase's last M output blocks read the next
-    record's or phase's rows: they lie past its last output and absorb the
-    spill, as in dW. A dilated strided conv runs at stride 1 and keeps
-    every s-th position."""
+    rows (``_toeplitz_layout``). A dilated strided conv runs at stride 1
+    and keeps every s-th position."""
     nb, length, in_ch = x.shape
     out_ch, _, k = weights.shape
     g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
@@ -378,6 +391,7 @@ def _toeplitz_forward(x, weights, bias, d, s):
     bands = _toeplitz_bands(weights, g, step, (length - 1) % step, True)
     rows = phases * blocks  # block rows per record
     width = (length - 1) // step + 1  # positions the blocks compute
+    keep = s // step  # of those, every keep-th is emitted
     y = np.empty((nb, (length - 1) // s + 1, out_ch), dtype=np.float32)
     per = max(1, _TAPLOOP_BLOCK_ELEMENTS // (rows * g * max(in_ch, out_ch)))
     for r0 in range(0, nb, per):
@@ -387,14 +401,8 @@ def _toeplitz_forward(x, weights, bias, d, s):
         yb = xb @ bands[0]
         for m in range(1, len(bands)):
             yb[:n - m] += xb[m:] @ bands[m]
-        yp = yb.reshape(len(xr), phases, -1, out_ch)
-        yr = y[r0:r0 + per] if step == s else np.empty(
-            (len(xr), width, out_ch), dtype=np.float32)
-        for r in range(phases):
-            np.add(yp[:, r, :len(range(r, width, phases))], bias,
-                   out=yr[:, r::phases])
-        if step < s:
-            y[r0:r0 + per] = yr[:, (length - 1) % s::s]
+        yr = _from_phase_major(yb, phases, (len(xr), width, out_ch))
+        np.add(yr[:, (width - 1) % keep::keep], bias, out=y[r0:r0 + per])
     return y
 
 
@@ -412,13 +420,12 @@ def _conv_taploop(x, p, need_dx):
     The block-Toeplitz backward groups positions into the blocks of
     ``_toeplitz_layout``. With the banded matrices T_m of
     ``_toeplitz_bands``, block i of the output gradient G feeds input
-    blocks i..i+M: dX[i+m] += G[i] @ T_m^T, per record, and dW folds
-    D_m = X^T @ G, one GEMM per m over every block row of a chunk of
-    records, back onto the k taps (``_fold_bands``), at every k. Each
-    record's (and phase's) last M blocks of G are zero, which keeps records
-    and phases apart. The backward computes dx only when ``need_dx``, and
-    rebuilds its bands rather than keep the forward's; a dx-only backward
-    below the cutoff stages nothing in the block layout.
+    blocks i..i+M: dX[i+m] += G[i] @ T_m^T, and dW folds D_m = X^T @ G
+    back onto the k taps (``_fold_bands``), at every k; each is one GEMM
+    per m over every block row of a chunk of records, on the one staging
+    of G. The backward computes dx only when ``need_dx``, and rebuilds its
+    bands rather than keep the forward's; a dx-only backward below the
+    cutoff stages nothing in the block layout.
 
     For dW the backward keeps ``x``, the input array itself and not a
     copy (the op's node keeps only a data-less handle of its input
@@ -457,6 +464,8 @@ def _conv_taploop(x, p, need_dx):
             dbands = np.zeros((band + 1, g * in_ch, (g // step) * out_ch),
                               dtype=np.float32)
         if block_dx:
+            # T_m^T in C order, as the forward keeps T_m: no operand of the
+            # dX GEMMs is transposed
             tt = _toeplitz_bands(weights, g, step, lead)
             dx = np.empty((nb, length, in_ch), dtype=np.float32)
         for r0 in range(0, nb, per):
@@ -464,27 +473,20 @@ def _conv_taploop(x, p, need_dx):
             if step < s:
                 gr = np.zeros((len(gr), length, out_ch), dtype=np.float32)
                 gr[:, first::s] = gd[r0:r0 + per]
-            gr = _phase_major(gr, phases, blocks * (g // step))
             n = len(gr) * rows
+            gf = _phase_major(gr, phases, blocks * (g // step)).reshape(n, -1)
             if saved is not None:
                 # (k-1) zeros per phase, then x[t] at row k-1 + t // phases
                 xb = _phase_major(saved[r0:r0 + per], phases, blocks * g,
                                   k - 1).reshape(n, -1)
-                gf = gr.reshape(n, -1)
                 for m in range(band + 1):
                     dbands[m] += xb[m:].T @ gf[:n - m]
             if block_dx:
-                gb = gr.reshape(-1, rows, (g // step) * out_ch)
-                # M spare rows per record take the zero rows' products
-                dxb = np.zeros((len(gb), rows + band, g * in_ch),
-                               dtype=np.float32)
-                for m in range(band + 1):
-                    dxb[:, m:m + rows] += np.matmul(gb, tt[m])
-                # x[t] sits at phase-local row k-1 + t // phases
-                dxp = dxb[:, :rows].reshape(len(gb), phases, blocks * g, in_ch)
-                for r in range(phases):
-                    n_r = len(range(r, length, phases))
-                    dx[r0:r0 + per, r::phases] = dxp[:, r, k - 1:k - 1 + n_r]
+                dxb = gf @ tt[0]
+                for m in range(1, band + 1):
+                    dxb[m:] += gf[:n - m] @ tt[m]
+                dx[r0:r0 + per] = _from_phase_major(
+                    dxb, phases, (len(gr), length, in_ch), k - 1)
         if saved is not None:
             dw = _fold_bands(dbands, k, g, step, lead)
         return dx, dw, db

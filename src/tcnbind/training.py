@@ -297,8 +297,19 @@ def _stamp(settings: dict, seed) -> dict[str, str]:
 
 def provenance(settings: dict, seed) -> str:
     """An output's header line. ``settings`` holds every value but the seed
-    that changes the output's body, and none that does not (thread counts)."""
+    that changes the output's body, and none that does not (thread counts):
+    for an input file its ``file_digest``, not its path."""
     return _PROVENANCE.format(**_stamp(settings, seed))
+
+
+def file_digest(path) -> str:
+    """The first 12 hex digits of the sha256 of the file's bytes, read in
+    64 KB pieces so that no copy of a large input is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(piece)
+    return digest.hexdigest()[:12]
 
 
 def _config(kind: type, settings: dict):
@@ -310,12 +321,15 @@ def _config(kind: type, settings: dict):
 
 
 def run_training(settings: dict, train_ds: EncodedDataset,
-                 val_ds: Optional[EncodedDataset] = None
+                 val_ds: Optional[EncodedDataset] = None,
+                 inputs: Optional[dict] = None
                  ) -> tuple[ModelCheckpoint, str]:
     """The run of ``settings`` (ModelConfig and TrainConfig values by name):
     its best-epoch checkpoint, provenance in the metadata, and history text.
-    Holds out 20% of ``train_ds`` by the seed when ``val_ds`` is None.
-    DataError for unusable or conflicting data, ConfigError for bad values."""
+    Holds out 20% of ``train_ds`` by the seed when ``val_ds`` is None. The
+    config hash also covers ``inputs``, the input files' ``file_digest``s
+    by name. DataError for unusable or conflicting data, ConfigError for
+    bad values."""
     cfg = _config(TrainConfig, settings)
     if val_ds is None:
         train_ds, val_ds = hold_out(train_ds, cfg.seed)
@@ -328,7 +342,8 @@ def run_training(settings: dict, train_ds: EncodedDataset,
             raise DataError(f"config {key}={settings[key]} conflicts with "
                             f"dataset value {value}")
     model_cfg = _config(ModelConfig, {**settings, **derived})
-    stamp = _stamp({**asdict(model_cfg), **asdict(cfg)}, cfg.seed)
+    stamp = _stamp({**asdict(model_cfg), **asdict(cfg), **(inputs or {})},
+                   cfg.seed)
     model = TcnModel.initialize(model_cfg, np.random.default_rng(cfg.seed))
     logger.info("receptive field %d for input length %d",
                 receptive_field(model_cfg), model_cfg.input_length)

@@ -18,7 +18,7 @@ from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
                                  read_attribution_maps, read_pwms,
                                  write_attribution_maps, write_pwms)
 from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, one_hot
-from tcnbind.model import TcnModel
+from tcnbind.model import TcnModel, parameter_shapes
 from tcnbind.training import ModelCheckpoint, build_model
 
 
@@ -214,20 +214,31 @@ class TestExtractSeqlets:
 
 
 class TestExtractLabelMotifs:
+    # a zero model's tracks are all zero: no window beats the null
+    # threshold, 0
     def test_label_without_a_seqlet_is_warned(self, caplog):
-        # a zero probe's tracks are all zero: no window beats the null
-        # threshold, 0
+        self.check_warned(caplog, LinearProbe(np.zeros((12, 4))))
+
+    def test_zero_weight_model_is_warned(self, caplog):
+        config = tiny_config(input_length=12, num_labels=1)
+        zeros = {name: np.zeros(shape, dtype=np.float32)
+                 for name, shape in parameter_shapes(config).items()}
+        self.check_warned(caplog,
+                          build_model(ModelCheckpoint(config, ["TF0"], zeros)))
+
+    @staticmethod
+    def check_warned(caplog, model):
         ds = generate_synthetic(SyntheticSpec(6, 12, {"TF0": "CACGTG"},
                                               marginals={"TF0": 1.0}),
                                 np.random.default_rng(0))
         with caplog.at_level("WARNING", logger="tcnbind"):
-            pwms = extract_label_motifs(LinearProbe(np.zeros((12, 4))), ds, 0,
+            pwms = extract_label_motifs(model, ds, 0,
                                         np.random.default_rng(1), steps=2,
                                         baselines=2, null_count=3, window=5)
         assert pwms == []
         (record,) = caplog.records
         assert record.levelname == "WARNING"
-        assert "'TF0'" in record.message
+        assert "'TF0' yields no seqlet" in record.message
         assert "threshold 0 of 3 shuffled" in record.message
         assert "null_count 3" in record.message
 

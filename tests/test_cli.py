@@ -512,6 +512,89 @@ def test_header_hash_follows_the_flags_that_change_the_body(
 
 
 # ---------------------------------------------------------------------------
+# an output's header hash covers its input files' bytes, not their paths
+
+INPUT_FLAGS = {
+    "build-dataset": ("genome", "peaks"),
+    "split": ("dataset",),
+    "train": ("dataset", "val"),
+    "evaluate": ("dataset", "model"),
+    "attribute": ("dataset", "model"),
+    "motifs": ("dataset", "model"),
+}
+# a base to another base, and a digit to another digit
+NEXT_CHARACTER = bytes.maketrans(b"ACGT0123456789", b"CGTA1234567890")
+
+
+@pytest.fixture
+def input_bytes(tmp_path, synth_file, pipeline_config):
+    """The bytes of every input file of INPUT_FLAGS, by flag."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--dataset", synth_file, "--config", pipeline_config,
+               "--set", "epochs=1", "--out", ckpt) == 0
+    bases = np.random.default_rng(4).choice(list("ACGT"), 200)
+    return {"dataset": synth_file.read_bytes(), "val": synth_file.read_bytes(),
+            "model": ckpt.read_bytes(),
+            "genome": (">chr1\n" + "".join(bases) + "\n").encode(),
+            "peaks": b"chr1\t40\t80\n"}
+
+
+def input_header_hash(command, files, folder, pipeline_config) -> str:
+    """The header hash of ``command`` run on ``files`` (flag -> bytes),
+    each written into ``folder``."""
+    folder.mkdir(exist_ok=True)
+    paths = {flag: folder / flag for flag in INPUT_FLAGS[command]}
+    for flag, path in paths.items():
+        path.write_bytes(files[flag])
+    out = folder / "out"
+    if command == "build-dataset":
+        argv = ["--peaks", f"TF0={paths['peaks']}", "--genome",
+                paths["genome"], "--window", 8, "--out", out]
+    elif command == "split":
+        argv = ["--dataset", paths["dataset"], "--out-prefix", out]
+    elif command == "train":
+        argv = ["--dataset", paths["dataset"], "--val", paths["val"],
+                "--config", pipeline_config, "--set", "epochs=1",
+                "--out", out]
+    else:
+        argv = [*COMMON_ARGS.get(command, []), "--dataset", paths["dataset"],
+                "--model", paths["model"], "--out", out]
+    assert run(command, *argv) == 0
+    if command == "train":
+        return load_checkpoint(out).metadata["config_hash"]
+    return header_hash(folder / "out.train.tsv" if command == "split" else out)
+
+
+@pytest.mark.parametrize("command", list(INPUT_FLAGS))
+def test_header_hash_is_the_same_from_two_directories(
+        command, tmp_path, input_bytes, pipeline_config):
+    a, b = (input_header_hash(command, input_bytes, tmp_path / name,
+                              pipeline_config) for name in ("a", "b"))
+    assert a == b
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in INPUT_FLAGS.items()
+    for flag in flags])
+def test_header_hash_follows_one_input_byte(command, flag, tmp_path,
+                                            input_bytes, pipeline_config):
+    changed = bytearray(input_bytes[flag])
+    if flag == "model":  # the low byte of the last weight
+        changed[-4] ^= 1
+    else:  # the last base of the last record or of the genome, or the
+        # peak's last digit
+        i = (changed.rindex(b"\t") - 1 if flag in ("dataset", "val")
+             else len(changed) - 2)
+        changed[i] = bytes(changed[i:i + 1]).translate(NEXT_CHARACTER)[0]
+    a = input_header_hash(command, input_bytes, tmp_path / "a",
+                          pipeline_config)
+    # at the same paths, so only the bytes differ
+    b = input_header_hash(command, {**input_bytes, flag: bytes(changed)},
+                          tmp_path / "a", pipeline_config)
+    assert a != b
+
+
+# ---------------------------------------------------------------------------
 # attribution output depends only on the seed
 
 @pytest.mark.parametrize("threads", [2, 4])

@@ -203,10 +203,10 @@ class TestConvStride:
 class TestTapLoopRecordBlocks:
     """The conv's forward, per-tap or block-Toeplitz, and its backward's
     staging of G and dx run one block of records at a time. Each record's
-    per-tap and dx GEMMs are the same calls, and each row of the block
-    form's 2-D GEMMs gets the bits it gets in a taller product, so y and dx
-    keep their bits however the batch is cut. dW sums its per-block GEMMs,
-    so it keeps them only to float32 rounding."""
+    per-tap GEMMs are the same calls, and each row of the block form's 2-D
+    GEMMs, the forward's and dx's, gets the bits it gets in a taller
+    product, so y and dx keep their bits however the batch is cut. dW sums
+    its per-block GEMMs, so it keeps them only to float32 rounding."""
 
     # 5 records of 13 (stride 1) or 7 (stride 2) output rows, 4 channels:
     # forward blocks of one record, and of 2-4 records with a shorter last
@@ -292,8 +292,10 @@ class TestBlockToeplitzBackward:
     with lengths below the block size (4) and the kernel width and lengths
     that are no block multiple. dW runs in the block-Toeplitz form at every
     width; dx runs per tap below the cutoff and in the block form from it.
-    float32 sums of at most k * C_in * ceil(L/s) products of terms in
-    [-1, 1]: within 1e-5 of each array's largest entry."""
+    Both block forms run over the flat block rows of two records, so a
+    record or phase that took a neighbour's G would show here. float32
+    sums of at most k * C_in * ceil(L/s) products of terms in [-1, 1]:
+    within 1e-5 of each array's largest entry."""
 
     @pytest.mark.parametrize("k", CONV_WIDTHS)
     @pytest.mark.parametrize("dilation", [1, 2, 3, 8])
@@ -677,6 +679,37 @@ class TestBlasThreadCount:
         one = stdout_on_blas_threads(PAPER_FORWARD, 1)
         assert len(one) == 2 * 16 * 4 * 4  # 16 x 4 float32 logits
         assert stdout_on_blas_threads(PAPER_FORWARD, 2) == one
+
+    def test_block_dx_keeps_its_bits_on_one_and_two_threads(self):
+        one = stdout_on_blas_threads(BLOCK_DX, 1)
+        assert len(one.split()) == 4
+        assert stdout_on_blas_threads(BLOCK_DX, 2) == one
+
+
+# The input gradient of a frozen-weight k=32 conv, which runs in the
+# block-Toeplitz form: 16 records of 32 channels, at (L, stride, dilation)
+# with one phase, with a stride and a shorter grid, and with 8 phases.
+# Prints the sha256 of each dx's bytes.
+BLOCK_DX = """
+import hashlib
+import numpy as np
+from tcnbind.autodiff import Tensor
+from tcnbind.model import Conv1dParams, conv1d_causal
+rng = np.random.default_rng(3)
+for length, stride, dilation in [(1000, 1, 1), (1000, 2, 1), (250, 2, 1),
+                                 (1000, 1, 8)]:
+    p = Conv1dParams(
+        Tensor(rng.uniform(-0.2, 0.2, (32, 32, 32)).astype(np.float32)),
+        Tensor(rng.uniform(-0.2, 0.2, 32).astype(np.float32)),
+        dilation=dilation, stride=stride)
+    x = Tensor(rng.uniform(-1, 1, (16, length, 32)).astype(np.float32),
+               requires_grad=True)
+    y = conv1d_causal(x, p)
+    g = rng.uniform(-1, 1, y.shape).astype(np.float32)
+    dx, dw, db = y.node.backward_fn(g)
+    assert dw is None and db is None
+    print(hashlib.sha256(dx.tobytes()).hexdigest())
+"""
 
 
 # Shapes for the decimated `last` forward (receptive field, then length):
