@@ -3,9 +3,9 @@
 Holds only the differentiable ops that the causal convolutional classifier
 and its attribution record: add, matmul, relu, sum and mean reductions and
 getitem, plus ``make_op`` for the primitives defined elsewhere (the
-convolution, dropout and the loss), the backward pass and a
-finite-difference gradient checker. Tensors are immutable after
-construction except for gradient accumulation.
+convolution, relu fused with dropout in training, and the loss), the
+backward pass and a finite-difference gradient checker. Tensors are
+immutable after construction except for gradient accumulation.
 
 The graph holds gradient routes, not values. A recorded op's node keeps
 each leaf parent (a tensor no recorded op produced: a parameter, an

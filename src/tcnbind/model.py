@@ -149,12 +149,9 @@ def conv1d_causal(x: Tensor, p: Conv1dParams) -> Tensor:
 
 
 def _conv_im2col(xpad, p, nb, length):
-    """Materialize sliding windows once and run one GEMM: a forward only,
-    whose backward_fn is None. ``xpad`` is the input after (k-1)*d zeros.
-
-    Nothing calls it: every conv runs ``_conv_taploop``. It stays only
-    while the benchmark's self-test patches it by name, and goes with the
-    next benchmark change."""
+    """Sliding windows and one GEMM over ``xpad``, the input after (k-1)*d
+    zeros: a forward only, whose backward_fn is None. Nothing calls it; it
+    stays while the benchmark's self-test patches it by name."""
     out_ch, in_ch, k = p.weights.shape
     d, s = p.dilation, p.stride
     outputs = (length - 1) // s + 1
@@ -227,12 +224,8 @@ _TOEPLITZ_BLOCK = 4
 #   k=32 2.50-2.51 against 2.03-2.09.
 # End to end, the block form on every conv took the benchmark's k=8 IG
 # workload (motifs_small_mean) from 7.6-8.0 to 5.4-5.7 items/s in three
-# alternating pairs. One dx at an IG pass's shape (B=25, L=200, C=O=16,
-# k=8; min of 50 in three rounds) took 0.43-0.92 ms in the block form at
-# d=1 and 0.68-1.33 at d=8, against 0.59-0.61 and 0.64-0.67 ms per tap;
-# at B=64, L=1000, C=O=32, k=8 (min of 5), 15.6-16.0 against 19.8-20.5 ms.
-# The cutoff reads k alone, so a layer's decimated and full-resolution
-# passes always take the same form.
+# alternating pairs. The cutoff reads k alone, so a layer's decimated and
+# full-resolution passes always take the same form.
 _TOEPLITZ_FORWARD_MIN_K = 16
 
 
@@ -294,10 +287,7 @@ def _toeplitz_bands(weights, g, step, lead, forward=False):
     Both are one copy of a strided view of the taps W[:, :, k-1-j] stacked
     as [., O, C] rows, tap j at row g-1+j between zero rows: entry (m, r, q)
     reads row g-1 + j, a stride of g rows over m, -step over r and 1 over
-    q. At k=32, C=O=32 the forward's bands took 0.11-0.15 ms against
-    0.66-1.06 ms for the index gather and transposed copy this replaced,
-    and 0.07-0.10 against 0.14-0.24 ms at stride 2 (2-vCPU Xeon,
-    numpy 2.4.6, OpenBLAS 0.3.31)."""
+    q."""
     out_ch, in_ch, k = weights.shape
     bands = (g + k - 2) // g + 1  # M+1
     rows = np.zeros((g - 1 + bands * g, out_ch, in_ch), dtype=np.float32)
@@ -414,8 +404,7 @@ def _conv_taploop(x, p, need_dx):
     forward in the block-Toeplitz form of the backward
     (``_toeplitz_forward``), and so does its backward's dx; a narrower one
     runs both as one batched GEMM per tap (``_taploop_forward``,
-    ``_taploop_input_grad``). The choice depends on k only, so a layer's
-    decimated and full-resolution passes take the same form.
+    ``_taploop_input_grad``).
 
     The block-Toeplitz backward groups positions into the blocks of
     ``_toeplitz_layout``. With the banded matrices T_m of
@@ -494,61 +483,76 @@ def _conv_taploop(x, p, need_dx):
     return y, backward_fn
 
 
-def dropout(x: Tensor, ratio: float, training: bool,
-            rng: Optional[np.random.Generator],
-            length: Optional[int] = None, stride: int = 1) -> Tensor:
-    """Inverted dropout with a mask drawn from ``rng``: its own op, whose
-    node keeps only the mask packed to bits, ceil(n/8) bytes for n values.
-    The float32 scale it multiplies by, mask / (1 - ratio), is rebuilt from
-    them in the forward and again in the backward, the same expression both
-    times, so values and gradients keep their bits. Packing took the
-    benchmark's paper-shape train step from 116.0 to 109.7 MB peak RSS
-    (10 of 10 pairs) at the same items/s.
+def relu_dropout(x: Tensor, ratio: float, training: bool,
+                 rng: Optional[np.random.Generator],
+                 length: Optional[int] = None, stride: int = 1) -> Tensor:
+    """relu, then inverted dropout with a mask drawn from ``rng``; outside
+    training, or at ratio 0, ``ad.relu`` alone.
 
-    A decimated ``x`` [B, n, C] holds every ``stride``-th of ``length``
-    positions, ending at the last. Its mask is drawn for all ``length``
-    positions and indexed to the kept ones, so the random stream, and the
-    mask at every kept position, are those of the full-resolution forward.
+    In training, one op whose node keeps y > 0 packed to bits, ceil(n/8)
+    bytes for n values: with scale = 1/(1-ratio) >= 1, y > 0 just where
+    x > 0 and the value is kept, and dy/dx is the scale there, 0 elsewhere
+    (read off the output as in in-place activated BN, arXiv:1712.02616).
+    y and the gradient keep the bits of relu then dropout.
+
+    The mask, rng.random(dtype=float32) >= ratio, comes from raw words a
+    chunk of records at a time: each draw is (u >> 8) / 2^24 for a uint32
+    half u of a 64-bit word, low half first, the high one buffered
+    (``has_uint32``), so it is u >= ceil(float32(ratio) * 2^24) << 8, and
+    the stream ends where ``rng.random``'s would. A decimated ``x``
+    [B, n, C] holds every ``stride``-th of ``length`` positions, ending at
+    the last; its mask is drawn for all ``length``, then indexed.
     """
     if not training or ratio == 0.0:
-        return x
+        return ad.relu(x)
     if rng is None:
         raise ValueError("training-mode dropout needs a seeded generator")
-    if stride == 1:
-        draws = rng.random(x.shape, dtype=np.float32)
-    else:
-        draws = rng.random((x.shape[0], length, x.shape[2]),
-                           dtype=np.float32)[:, (length - 1) % stride::stride]
-    bits = np.packbits(draws >= ratio)
-    del draws  # full-resolution when decimated: 8 MB at B=64, L=1000
-    shape = x.shape
-
-    def keep():
-        mask = np.unpackbits(bits, count=math.prod(shape)).reshape(shape)
-        return mask.astype(np.float32) / np.float32(1.0 - ratio)
+    y = np.maximum(x.data, np.float32(0), order="C")
+    first = (length - 1) % stride if stride > 1 else 0
+    per = length * y.shape[-1] if stride > 1 else y[0].size  # per record
+    cut = math.ceil(float(np.float32(ratio)) * 2 ** 24) << 8
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    held = [state["uinteger"]] if state["has_uint32"] else []
+    chunk = max(1, _TAPLOOP_BLOCK_ELEMENTS // per)
+    for r0 in range(0, len(y), chunk):
+        part = y.reshape(len(y), -1, y.shape[-1])[r0:r0 + chunk]  # a view
+        n = len(part) * per - len(held)  # halves taken from new words
+        u = bitgen.random_raw(-(-n // 2)).view(np.uint32)  # little-endian
+        u = np.concatenate((np.array(held, np.uint32), u)) if held else u
+        held = [int(u[-1])] if n % 2 else []
+        draws = u[:len(part) * per].reshape(len(part), -1, y.shape[-1])
+        part *= draws[:, first::stride] >= cut
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = len(held), (held or [0])[0]
+    bitgen.state = state
+    scale = np.float32(1) / np.float32(1.0 - ratio)
+    y *= scale  # relu*1*scale, relu*0*scale: the bits of relu * (keep*scale)
+    bits = np.packbits(y > 0)
 
     def backward_fn(g):
-        return (g * keep(),)
+        kept = np.unpackbits(bits, count=g.size).reshape(g.shape)
+        return (g * (kept * scale),)
 
-    return ad.make_op(x.data * keep(), "dropout", (x,), backward_fn)
+    return ad.make_op(y, "relu_dropout", (x,), backward_fn)
 
 
 def tcn_block(x: Tensor, p: TcnBlockParams, training: bool = False,
               rng: Optional[np.random.Generator] = None,
               length: Optional[int] = None, stride: int = 1) -> Tensor:
-    """Residual block; ``length`` and ``stride`` describe a decimated ``x``
-    to dropout: it holds every ``stride``-th of ``length`` positions.
+    """Residual block over ``x``, which holds every ``stride``-th of
+    ``length`` positions (see ``relu_dropout``).
 
     A ``conv2`` of stride s emits every s-th position of ``x``, ending at
     the last, and the block does too: its skip (or projection) reads those
     positions of ``x``, and its second dropout indexes the full-resolution
     mask at ``stride * s``.
     """
-    s = p.conv2.stride
-    h = ad.relu(conv1d_causal(x, p.conv1))
-    h = dropout(h, p.dropout_ratio, training, rng, length, stride)
-    h = ad.relu(conv1d_causal(h, p.conv2))
-    h = dropout(h, p.dropout_ratio, training, rng, length, stride * s)
+    s, ratio = p.conv2.stride, p.dropout_ratio
+    h = relu_dropout(conv1d_causal(x, p.conv1), ratio, training, rng,
+                     length, stride)
+    h = relu_dropout(conv1d_causal(h, p.conv2), ratio, training, rng,
+                     length, stride * s)
     if s > 1:
         x = ad.getitem(x, (slice(None), slice((x.shape[1] - 1) % s, None, s)))
     skip = x if p.projection is None else conv1d_causal(x, p.projection)
@@ -675,13 +679,9 @@ class TcnModel:
                 capture: Optional[dict] = None) -> Tensor:
         """Map one-hot input [B, L, 4] to logits [B, k].
 
-        With the ``last`` readout and no ``capture``, block b runs at
-        dilation 1 on the ceil(L/2^b) positions t = L-1 (mod 2^b): a
-        dilation-2^b causal convolution read only there is a dilation-1 one
-        over them (arXiv:1511.07122, arXiv:1611.09482). Its conv2 runs at
-        stride 2 and emits only the ceil(L/2^(b+1)) positions the next block
-        reads. The logits are those of the full-resolution forward, and
-        dropout draws the same masks.
+        With the ``last`` readout and no ``capture``, the blocks run on the
+        decimated grids of the module docstring. The logits are those of
+        the full-resolution forward, and dropout draws the same masks.
 
         ``capture``, when given, receives copies of every intermediate
         activation keyed by layer name, each at all L positions: it is the
@@ -695,7 +695,7 @@ class TcnModel:
 
         h = x
         for i, conv in enumerate(self._cnn):
-            h = dropout(ad.relu(conv1d_causal(h, conv)), cfg.dropout, training, rng)
+            h = relu_dropout(conv1d_causal(h, conv), cfg.dropout, training, rng)
             if capture is not None:
                 capture[f"cnn.{i}"] = h.data.copy()
         decimate = cfg.classifier_input == "last" and capture is None
@@ -712,9 +712,9 @@ class TcnModel:
             feats = ad.getitem(h, (slice(None), h.shape[1] - 1))  # [B, C] final position
         if capture is not None:
             capture["features"] = feats.data.copy()
-        hidden = ad.relu(ad.add(ad.matmul(feats, self.params["mlp.hidden.weight"]),
-                                self.params["mlp.hidden.bias"]))
-        hidden = dropout(hidden, cfg.dropout, training, rng)
+        hidden = relu_dropout(
+            ad.add(ad.matmul(feats, self.params["mlp.hidden.weight"]),
+                   self.params["mlp.hidden.bias"]), cfg.dropout, training, rng)
         return ad.add(ad.matmul(hidden, self.params["mlp.out.weight"]),
                       self.params["mlp.out.bias"])
 

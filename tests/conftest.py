@@ -18,7 +18,7 @@ from tcnbind.training import TrainConfig
 def mul_const(x: Tensor, c: Tensor) -> Tensor:
     """x * c for a constant c that broadcasts to x's shape: the weighting a
     test applies to make a scalar whose gradient differs per entry. The
-    library has no product op; dropout is its own op."""
+    library has no product op; relu_dropout is its own op."""
     return ad.make_op(x.data * c.data, "mul_const", (x,),
                       lambda g: (g * c.data,))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -846,30 +847,38 @@ class TestWhatATrainingStepKeeps:
     """A training step's graph keeps only what each backward reads. A node
     keeps a parent an op produced as a data-less handle, so an activation
     that no backward reads (a conv output, a relu output) is freed in the
-    forward. Relu keeps a bool mask, dropout its mask packed to bits, a
-    conv the input array its dW reads, a matmul the operands of the other
-    one's gradient. The backward frees each op's arrays once it has run
-    it, and a tensor the caller still holds then reaches none."""
+    forward. A block-output relu keeps a bool mask, a training
+    ``relu_dropout`` its output's signs packed to bits, a conv the input
+    array its dW reads, a matmul the operands of the other one's gradient.
+    The backward frees each op's arrays once it has run it, and a tensor
+    the caller still holds then reaches none."""
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_dropout_node_keeps_only_the_mask_bits(self, stride):
+    def test_relu_dropout_node_keeps_only_the_output_bits(self, stride):
         rng = np.random.default_rng(70)
-        x = Tensor(rng.uniform(-1, 1, (2, 5, 3)).astype(np.float32),
-                   requires_grad=True)
-        y = tcn_model.dropout(x, 0.3, True, np.random.default_rng(71),
-                              length=13, stride=stride)
+        data = rng.uniform(-1, 1, (3, 5, 3)).astype(np.float32)
+        data[0, 0, :2] = 0.0, -0.0  # zero signs must come out the same
+        x = Tensor(data, requires_grad=True)
+        y = tcn_model.relu_dropout(x, 0.3, True, np.random.default_rng(71),
+                                   length=13, stride=stride)
         assert len(y.node.parents) == 1 and y.node.parents[0] is x
+        # relu, then dropout with the masks of rng.random at full resolution
         draws = np.random.default_rng(71).random(
-            (2, 5 if stride == 1 else 13, 3), dtype=np.float32)[:, ::stride]
-        # 30 values in ceil(30/8) = 4 bytes
-        [bits] = closure_arrays(y.node.backward_fn)
-        assert bits.dtype == np.uint8 and bits.nbytes == 4
-        np.testing.assert_array_equal(
-            np.unpackbits(bits, count=30).reshape(x.shape), draws >= 0.3)
+            (3, 5 if stride == 1 else 13, 3), dtype=np.float32)[:, ::stride]
         keep = (draws >= 0.3).astype(np.float32) / np.float32(0.7)
+        relu = np.maximum(data, np.float32(0))
         g = rng.uniform(-1, 1, x.shape).astype(np.float32)
-        np.testing.assert_array_equal(y.data, x.data * keep)
-        np.testing.assert_array_equal(y.node.backward_fn(g)[0], g * keep)
+        want_y = relu * keep
+        want_g = (relu > 0).astype(np.float32) * (g * keep)
+        # 45 values in ceil(45/8) = 6 bytes
+        [bits] = closure_arrays(y.node.backward_fn)
+        assert bits.dtype == np.uint8 and bits.nbytes == 6
+        np.testing.assert_array_equal(bits, np.packbits(y.data > 0))
+        assert np.any((g < 0) & (y.data == 0))  # a -0.0 in the gradient
+        np.testing.assert_array_equal(y.data.view(np.uint32),
+                                      want_y.view(np.uint32))
+        np.testing.assert_array_equal(
+            y.node.backward_fn(g)[0].view(np.uint32), want_g.view(np.uint32))
 
     @pytest.mark.parametrize("dilation,stride", [(1, 1), (1, 2), (3, 1)])
     @pytest.mark.parametrize("needs_x_grad", [True, False])
@@ -898,9 +907,9 @@ class TestWhatATrainingStepKeeps:
 
     def test_forward_frees_what_no_backward_reads(self, monkeypatch):
         conv, relu, matmul = tcn_model.conv1d_causal, ad.relu, ad.matmul
-        dropout = tcn_model.dropout
+        relu_dropout = tcn_model.relu_dropout
         conv_inputs, conv_outputs, relu_outputs, operands = [], [], [], []
-        dropped = []  # values per dropout mask
+        dropped = []  # outputs of relu_dropout
 
         def spy_conv(x, p):
             y = conv(x, p)
@@ -917,11 +926,12 @@ class TestWhatATrainingStepKeeps:
             operands.extend((weakref.ref(a.data), weakref.ref(b.data)))
             return matmul(a, b)
 
-        def spy_dropout(x, *args, **kwargs):
-            dropped.append(x.data.size)
-            return dropout(x, *args, **kwargs)
+        def spy_relu_dropout(x, *args, **kwargs):
+            y = relu_dropout(x, *args, **kwargs)
+            dropped.append((y.data.size, weakref.ref(y.data)))
+            return y
         monkeypatch.setattr(tcn_model, "conv1d_causal", spy_conv)
-        monkeypatch.setattr(tcn_model, "dropout", spy_dropout)
+        monkeypatch.setattr(tcn_model, "relu_dropout", spy_relu_dropout)
         monkeypatch.setattr(ad, "relu", spy_relu)
         monkeypatch.setattr(ad, "matmul", spy_matmul)
 
@@ -934,20 +944,28 @@ class TestWhatATrainingStepKeeps:
         kept = [ref() for ref in conv_inputs + operands]
         kept += [p.data for p in model.params.values()]
         assert all(ref() is None for ref in conv_outputs)
-        # a block's output is the next block's conv input, kept for dW;
-        # every other relu output (the last block's among them) is freed
+        # in training only the block outputs take ad.relu; a block's output
+        # is the next block's conv input, kept for dW, and the last one's
+        # is freed
+        assert len(relu_outputs) == cfg.tcn_blocks
         live = [ref() for ref in relu_outputs if ref() is not None]
-        assert len(relu_outputs) == 3 * cfg.tcn_blocks + cfg.cnn_layers + 1
         assert len(live) == cfg.tcn_blocks - 1
-        assert all(any(a is b for b in kept) for a in live)
+        # each cnn layer, both convs of each block and the hidden layer
+        # take relu_dropout; a conv2's output feeds only the residual add
+        # and is freed, the others are conv inputs or a matmul operand
+        assert len(dropped) == cfg.cnn_layers + 2 * cfg.tcn_blocks + 1
+        live_dropped = [ref() for _, ref in dropped if ref() is not None]
+        assert len(live_dropped) == cfg.cnn_layers + cfg.tcn_blocks + 1
+        assert all(any(a is b for b in kept) for a in live + live_dropped)
         held = graph_arrays(logits)
-        assert any(a.dtype == bool for a in held)  # relu masks
-        # a dropout mask of n values is kept as ceil(n/8) bytes
+        # bool masks only from the block-output relus
+        assert sum(a.dtype == bool for a in held) == cfg.tcn_blocks
+        # relu_dropout keeps n values' signs as ceil(n/8) bytes
         bits = [a.nbytes for a in held if a.dtype == np.uint8]
-        assert bits and sorted(bits) == sorted(-(-n // 8) for n in dropped)
+        assert sorted(bits) == sorted(-(-n // 8) for n, _ in dropped)
         assert all(any(a is b for b in kept)
                    for a in held if a.dtype not in (bool, np.uint8))
-        del kept, live, held
+        del kept, live, live_dropped, held
 
         loss = bce_multilabel_loss(logits, rng.integers(0, 2, (3, 3)))
         ad.backward(loss)
@@ -992,6 +1010,59 @@ class TestWhatATrainingStepKeeps:
             assert param.grad.shape == param.shape, name
         del logits, loss
         assert all(ref() is None for ref in refs)
+
+
+class TestReluDropoutDraws:
+    """Training ``relu_dropout`` draws its masks from the generator's raw
+    words, a chunk of records at a time. The masks, and the stream after
+    them, must be those of ``rng.random(dtype=float32) >= ratio`` over the
+    full-resolution shape, with no array of that size allocated."""
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 0.3, 0.5])
+    @pytest.mark.parametrize("channels", [3, 2])  # odd, even draws per record
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_masks_and_stream_match_rng_random(self, monkeypatch, ratio,
+                                               channels, stride):
+        length = 11  # at stride 3, the positions 1, 4, 7 and 10
+        positions = -(-length // stride)
+        data = np.random.default_rng(80).uniform(
+            0.5, 1, (4, positions, channels)).astype(np.float32)
+        for buffered in (False, True):
+            for block in (tcn_model._TAPLOOP_BLOCK_ELEMENTS, 1):
+                # 1: every record is its own chunk
+                monkeypatch.setattr(tcn_model, "_TAPLOOP_BLOCK_ELEMENTS",
+                                    block)
+                ours, theirs = (np.random.default_rng(81) for _ in range(2))
+                if buffered:  # enter with the high half of a word buffered
+                    ours.random(dtype=np.float32)
+                    theirs.random(dtype=np.float32)
+                y = tcn_model.relu_dropout(
+                    Tensor(data, requires_grad=True), ratio, True, ours,
+                    length=length, stride=stride)
+                draws = theirs.random((4, length, channels), dtype=np.float32)
+                want = draws[:, (length - 1) % stride::stride] >= ratio
+                np.testing.assert_array_equal(y.data > 0, want)
+                for _ in range(2):  # an odd count, then the next word
+                    np.testing.assert_array_equal(
+                        ours.random(3, dtype=np.float32),
+                        theirs.random(3, dtype=np.float32))
+                np.testing.assert_array_equal(ours.random(2),
+                                              theirs.random(2))
+
+    def test_decimated_draw_allocates_no_full_resolution_array(self):
+        nb, length, channels, stride = 16, 1000, 32, 64
+        x = Tensor(np.random.default_rng(82).uniform(
+            -1, 1, (nb, -(-length // stride), channels)).astype(np.float32),
+            requires_grad=True)
+        tracemalloc.start()
+        try:
+            tcn_model.relu_dropout(x, 0.5, True, np.random.default_rng(83),
+                                   length=length, stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float32 draw per full-resolution value would be 2 MB
+        assert peak < nb * length * channels * 4
 
 
 class TestDecimatedWorkShape:
