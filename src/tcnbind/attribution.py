@@ -156,6 +156,8 @@ def attribute_dataset(model: TcnModel, ds: EncodedDataset,
     """One map per (sample, label) over the first ``max_samples``
     sequences; each sequence's shuffled baselines are drawn in sample
     order and shared by its labels."""
+    if len(ds) == 0:
+        raise DataError("the dataset holds no records to attribute")
     jobs = []
     for i in range(min(max_samples, len(ds))):
         seq = ds.sequences[i]
@@ -176,13 +178,13 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
     Draws from ``rng`` in a fixed order before any IG runs: the null
     shuffles, then the real sequences' baselines, then the nulls'.
     """
-    if window > ds.sequence_length:
-        raise DataError(f"seqlet window {window} exceeds the sequence length "
-                        f"{ds.sequence_length}")
     label = ds.label_names[label_index]
     positives = np.flatnonzero(ds.labels[:, label_index] == 1)[:max_seqs]
     if positives.size == 0:
         raise DataError(f"no positive sequences for label {label!r}")
+    if window > ds.sequence_length:
+        raise DataError(f"seqlet window {window} exceeds the sequence length "
+                        f"{ds.sequence_length}")
 
     real_seqs = [ds.sequences[i] for i in positives]
     null_seqs = [dinucleotide_shuffle(ds.sequences[i], rng)

@@ -10,9 +10,10 @@ Exit codes; every failure ends with a one-line message on stderr:
      (checkpoints: not UTF-8) or malformed, inputs that disagree with each
      other (label registries, or sequence lengths: a dataset against its
      checkpoint, a validation set against the training set), data a step
-     cannot use (an empty training set, a training or evaluation set with
-     no positive label, a motif window longer than the sequences), or an
-     output path that cannot be written;
+     cannot use (a dataset without records, a training or evaluation set
+     with no positive label, a label without positives to find motifs for,
+     a motif window longer than the sequences), or an output path that
+     cannot be written;
   3  numerical abort: the training loss became non-finite.
 """
 

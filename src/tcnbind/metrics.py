@@ -51,49 +51,50 @@ def precision_recall_f1(counts: dict[str, np.ndarray]):
 
 
 def average_metrics(scores: np.ndarray, targets: np.ndarray, threshold: float,
-                    mode: str, include: np.ndarray | None = None):
-    """One (precision, recall, f1) triple under the requested averaging mode.
+                    include: np.ndarray | None = None):
+    """{mode: (precision, recall, f1)} for every mode of AVERAGE_MODES, from
+    one confusion table.
 
     ``include`` masks label columns that macro/weighted averaging may use
     (micro and samples averaging always pool every column).
     """
-    if mode not in AVERAGE_MODES:
-        raise ValueError(f"unknown averaging mode {mode!r}")
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets)
     counts = confusion_counts(scores, targets, threshold)
     if include is None:
         include = np.ones(scores.shape[1], dtype=bool)
-
-    if mode == "micro":
-        pooled = {k: v.sum() for k, v in counts.items()}
-        p, r, f1 = precision_recall_f1(pooled)
-        return float(p), float(r), float(f1)
-    if mode == "samples":
-        pred = scores >= threshold
-        pos = targets == 1
-        inter = (pred & pos).sum(axis=1)
-        p = _safe_div(inter, pred.sum(axis=1))
-        r = _safe_div(inter, pos.sum(axis=1))
-        f1 = _safe_div(2.0 * p * r, p + r)
-        return float(p.mean()), float(r.mean()), float(f1.mean())
-
-    p, r, f1 = precision_recall_f1(counts)
-    support = counts["tp"] + counts["fn"]
-    p, r, f1, support = p[include], r[include], f1[include], support[include]
-    if p.size == 0:
-        return 0.0, 0.0, 0.0
-    if mode == "macro":
-        return float(p.mean()), float(r.mean()), float(f1.mean())
+    pred = scores >= threshold
+    pos = targets == 1
+    inter = (pred & pos).sum(axis=1)
+    p = _safe_div(inter, pred.sum(axis=1))
+    r = _safe_div(inter, pos.sum(axis=1))
+    samples = (p, r, _safe_div(2.0 * p * r, p + r))
+    micro = precision_recall_f1({k: v.sum() for k, v in counts.items()})
+    per_label = [v[include] for v in precision_recall_f1(counts)]
+    support = (counts["tp"] + counts["fn"])[include]
     weights = _safe_div(support, support.sum())
-    return (float((p * weights).sum()), float((r * weights).sum()),
-            float((f1 * weights).sum()))
+    return {
+        "macro": tuple(float(v.mean()) if v.size else 0.0 for v in per_label),
+        "micro": tuple(float(v) for v in micro),
+        "samples": tuple(float(v.mean()) for v in samples),
+        "weighted": tuple(float((v * weights).sum()) for v in per_label),
+    }
+
+
+def _group_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the last entry of each run of equal values. Neighbours are
+    compared with ``!=``, so every NaN is a group of its own."""
+    last = np.ones(sorted_values.size, dtype=bool)
+    last[:-1] = sorted_values[:-1] != sorted_values[1:]
+    return np.flatnonzero(last)
 
 
 def average_precision(scores, labels) -> float:
     """AP = sum_n (R_n - R_{n-1}) * P_n over descending-score thresholds.
 
-    Tied scores collapse into one threshold group; no interpolation.
+    Tied scores collapse into one threshold group; no interpolation. The
+    terms are summed one after another in threshold order, not pairwise as
+    ``np.sum`` does, so the AP a checkpoint records keeps its bits.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels).reshape(-1)
@@ -103,20 +104,11 @@ def average_precision(scores, labels) -> float:
     if total_pos == 0:
         raise ValueError("average precision undefined without positives")
     order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    cum_tp = np.cumsum(y_sorted == 1)
-    ranks = np.arange(1, s.size + 1)
-    group_end = np.ones(s.size, dtype=bool)
-    group_end[:-1] = s_sorted[:-1] != s_sorted[1:]
-
-    ap = 0.0
-    prev_recall = 0.0
-    for i in np.flatnonzero(group_end):
-        precision = cum_tp[i] / ranks[i]
-        recall = cum_tp[i] / total_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(ap)
+    ends = _group_ends(s[order])
+    cum_tp = np.cumsum(y[order] == 1)[ends]
+    recall = cum_tp / total_pos
+    terms = np.diff(recall, prepend=0.0) * (cum_tp / (ends + 1))
+    return float(np.cumsum(terms)[-1])
 
 
 def roc_auc(scores, labels) -> float:
@@ -128,15 +120,11 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AU-ROC needs both classes present")
     order = np.argsort(s, kind="stable")
+    ends = _group_ends(s[order])
+    starts = np.concatenate(([0], ends[:-1] + 1))
     ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # average 1-based rank of each tie group
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -189,8 +177,7 @@ def metrics_report(scores: np.ndarray, targets: np.ndarray,
         name: LabelMetrics(float(p[i]), float(r[i]), float(f1[i]), int(support[i]))
         for i, name in enumerate(label_names)
     }
-    averages = {mode: average_metrics(scores, targets, threshold, mode, include)
-                for mode in AVERAGE_MODES}
+    averages = average_metrics(scores, targets, threshold, include)
 
     flat_scores = scores[:, include].reshape(-1)
     flat_targets = targets[:, include].reshape(-1)

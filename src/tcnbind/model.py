@@ -222,9 +222,9 @@ _TOEPLITZ_BLOCK = 4
 #   an IG pass's B=25, L=200, C=O=16: k=8 0.66-0.67 against 1.19-1.22 ms,
 #   k=12 0.96-1.00 against 1.30-1.35, k=16 1.28-1.30 against 1.34-1.35,
 #   k=32 2.50-2.51 against 2.03-2.09.
-# End to end, the block form on every conv took the benchmark's k=8 IG
-# workload (motifs_small_mean) from 7.6-8.0 to 5.4-5.7 items/s in three
-# alternating pairs. The cutoff reads k alone, so a layer's decimated and
+# End to end, the block form on every conv took motifs_small_mean (k=8 IG)
+# from 7.6-8.0 to 5.4-5.7 items/s, and a block dx alone cut it by 26% (6/6
+# pairs). The cutoff reads k alone, so a layer's decimated and
 # full-resolution passes always take the same form.
 _TOEPLITZ_FORWARD_MIN_K = 16
 

@@ -486,8 +486,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
         name = _utf8(take(name_len, "name"), path)
         ndim = struct.unpack("<B", take(1, "ndim"))[0]
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        size = int(np.prod(dims)) if ndim else 1
-        payload = take(4 * size, f"tensor {name!r}")
+        payload = take(4 * math.prod(dims), f"tensor {name!r}")
+        if name in params:
+            raise DataError(f"{path}: checkpoint repeats tensor {name!r}")
         params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if offset != len(raw):
         raise DataError(f"{len(raw) - offset} trailing bytes after checkpoint")

@@ -17,7 +17,8 @@ from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
                                  pwm_from_consensus, pwm_similarity,
                                  read_attribution_maps, read_pwms,
                                  write_attribution_maps, write_pwms)
-from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, one_hot
+from tcnbind.data import (DataError, EncodedDataset, SyntheticSpec,
+                          generate_synthetic, one_hot)
 from tcnbind.model import TcnModel, parameter_shapes
 from tcnbind.training import ModelCheckpoint, build_model
 
@@ -225,6 +226,13 @@ class TestExtractLabelMotifs:
                  for name, shape in parameter_shapes(config).items()}
         self.check_warned(caplog,
                           build_model(ModelCheckpoint(config, ["TF0"], zeros)))
+
+    def test_empty_set_reports_no_positives(self):
+        empty = EncodedDataset(["TF0"], [], np.zeros((0, 1)))
+        with pytest.raises(DataError,
+                           match="no positive sequences for label 'TF0'"):
+            extract_label_motifs(LinearProbe(np.zeros((12, 4))), empty, 0,
+                                 np.random.default_rng(1))
 
     @staticmethod
     def check_warned(caplog, model):

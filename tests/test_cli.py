@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -272,6 +273,19 @@ def bad_inputs(tmp_path_factory):
     (root / "repeated_key.ckpt").write_bytes(blob)
     rewrite_checkpoint_config(root / "repeated_key.ckpt",
                               lambda block: block + b"classifier_input=mean\n")
+    # the first tensor listed twice, with the count raised; and its dims
+    # set to (2^31, 2^31, 4), whose int64 product wraps around to 0
+    name, first = next(iter(ckpt.params.items()))
+    head = struct.pack(f"<H{len(name)}sB", len(name), name.encode(), first.ndim)
+    entry = (head + struct.pack(f"<{first.ndim}I", *first.shape)
+             + first.astype("<f4").tobytes())
+    at = blob.index(entry)
+    (root / "repeated_tensor.ckpt").write_bytes(
+        blob[:at - 4] + struct.pack("<I", len(ckpt.params) + 1) + entry
+        + blob[at:])
+    (root / "overflow.ckpt").write_bytes(
+        blob[:at] + head[:-1] + struct.pack("<B3I", 3, 2 ** 31, 2 ** 31, 4)
+        + blob[at + len(entry):])
     ckpt.params["tcn.0.conv1.weight"] = np.zeros((8, 8, 5), dtype=np.float32)
     save_checkpoint(ckpt, root / "wide.ckpt")
     (root / "non_ascii.tsv").write_bytes(
@@ -377,6 +391,13 @@ EXIT_CASES = {
     "checkpoint_repeated_key": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
                                     "--model", "{root}/repeated_key.ckpt",
                                     "--out", "{out}"]),
+    "checkpoint_dims_overflow": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                     "--model", "{root}/overflow.ckpt",
+                                     "--out", "{out}"]),
+    "checkpoint_repeated_tensor": (2, ["evaluate", "--dataset",
+                                       "{root}/ds.tsv", "--model",
+                                       "{root}/repeated_tensor.ckpt",
+                                       "--out", "{out}"]),
     "checkpoint_wrong_shape": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
                                    "--model", "{root}/wide.ckpt",
                                    "--out", "{out}"]),
@@ -408,6 +429,12 @@ EXIT_CASES = {
                                        "--out", "{out}"]),
     "empty_training_set": (2, ["train", "--dataset", "{root}/empty.tsv",
                                "--out", "{out}"]),
+    "attribute_without_records": (2, ["attribute", "--dataset",
+                                      "{root}/empty.tsv", "--model",
+                                      "{root}/m.ckpt", "--out", "{out}"]),
+    "motifs_without_records": (2, ["motifs", "--dataset", "{root}/empty.tsv",
+                                   "--model", "{root}/m.ckpt",
+                                   "--out", "{out}"]),
 }
 
 # the file each failure message must name
@@ -417,7 +444,8 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                "non_ascii_config": "non_ascii.cfg",
                "non_utf8_model": "non_utf8.ckpt",
                "checkpoint_kernel_size_x": "kernel_x.ckpt",
-               "checkpoint_repeated_key": "repeated_key.ckpt"}
+               "checkpoint_repeated_key": "repeated_key.ckpt",
+               "checkpoint_repeated_tensor": "repeated_tensor.ckpt"}
 
 
 @pytest.mark.parametrize("case", list(EXIT_CASES))

@@ -119,6 +119,25 @@ class TestRocAuc:
                 auc_oracle(scores, labels), abs=1e-12)
 
 
+def test_tie_heavy_case_keeps_its_bits():
+    # a checkpoint stores the monitored AP as repr(best_value), so AP and
+    # AU-ROC keep their last bits: 20,000 scores on 101 levels, 8 labels
+    rng = np.random.default_rng(25)
+    targets = (rng.random((2500, 8)) < 0.3).astype(int)
+    scores = np.round(np.clip(0.25 * targets + rng.random((2500, 8)), 0, 1), 2)
+    assert average_precision(scores, targets) == 0.600960501606829
+    assert roc_auc(scores, targets) == 0.7231350631595874
+    assert [average_precision(scores[:, i], targets[:, i])
+            for i in range(8)] == [
+        0.5986177582954573, 0.6227426101996345, 0.5905583906347281,
+        0.5988615918747826, 0.5770572028534255, 0.5856214377800145,
+        0.6166349174484075, 0.6187979388390764]
+    assert [roc_auc(scores[:, i], targets[:, i]) for i in range(8)] == [
+        0.717517653631535, 0.7361516100178891, 0.7183483888374786,
+        0.7270026934885385, 0.7191556758265447, 0.6970308204838798,
+        0.7379316924251097, 0.732497035383932]
+
+
 class TestConfusionCounts:
     def test_perfect_scores(self):
         counts = confusion_counts(np.array([[0.9], [0.1]]),
@@ -202,8 +221,7 @@ class TestAverageMetrics:
         rng = np.random.default_rng(8)
         scores = rng.random((6, 1))
         targets = np.array([[1], [0], [1], [1], [0], [1]])
-        values = {mode: average_metrics(scores, targets, 0.5, mode)
-                  for mode in ("macro", "micro", "weighted")}
+        values = average_metrics(scores, targets, 0.5)
         assert values["macro"] == pytest.approx(values["micro"])
         assert values["macro"] == pytest.approx(values["weighted"])
 
@@ -213,15 +231,15 @@ class TestAverageMetrics:
         targets = np.zeros((8, 2), dtype=int)
         targets[:4, 0] = 1
         targets[4:, 1] = 1
-        macro = average_metrics(scores, targets, 0.5, "macro")
-        weighted = average_metrics(scores, targets, 0.5, "weighted")
+        macro = average_metrics(scores, targets, 0.5)["macro"]
+        weighted = average_metrics(scores, targets, 0.5)["weighted"]
         assert macro == pytest.approx(weighted)
 
     def test_four_sample_two_label_toy_case_all_modes(self):
         scores = np.array([[0.9, 0.2], [0.6, 0.7], [0.4, 0.8], [0.1, 0.3]])
         targets = np.array([[1, 0], [1, 1], [0, 1], [0, 0]])
         for mode in AVERAGE_MODES:
-            got = average_metrics(scores, targets, 0.5, mode)
+            got = average_metrics(scores, targets, 0.5)[mode]
             want = averages_oracle(scores, targets, 0.5, mode)
             assert got == pytest.approx(want), mode
 
@@ -231,19 +249,15 @@ class TestAverageMetrics:
             scores = rng.random((int(rng.integers(2, 8)), int(rng.integers(1, 4))))
             targets = rng.integers(0, 2, scores.shape)
             for mode in AVERAGE_MODES:
-                got = average_metrics(scores, targets, 0.5, mode)
+                got = average_metrics(scores, targets, 0.5)[mode]
                 want = averages_oracle(scores, targets, 0.5, mode)
                 assert got == pytest.approx(want), mode
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            average_metrics(np.zeros((2, 1)), np.zeros((2, 1)), 0.5, "median")
 
     def test_micro_f1_consistent_with_pooled_counts(self):
         rng = np.random.default_rng(11)
         scores = rng.random((10, 3))
         targets = rng.integers(0, 2, (10, 3))
-        p, r, f1 = average_metrics(scores, targets, 0.5, "micro")
+        p, r, f1 = average_metrics(scores, targets, 0.5)["micro"]
         expected_f1 = 2 * p * r / (p + r) if p + r else 0.0
         assert f1 == pytest.approx(expected_f1)
 
