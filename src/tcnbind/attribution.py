@@ -137,10 +137,15 @@ def run_ig_jobs(model: TcnModel, jobs: Sequence[IgJob], steps: int,
     Every random draw is in the jobs already, so the maps depend only on
     the jobs, never on ``threads`` or on scheduling.
     """
+    # numpy's error state is per thread, and a worker starts at the default
+    errors = np.geterr()
+
     def run(job: IgJob) -> AttributionMap:
-        return integrated_gradients(
-            model, one_hot(job.sequence), job.label_index, job.baselines,
-            steps=steps, label_name=job.label_name, sample_id=job.sample_id)
+        with np.errstate(**errors):
+            return integrated_gradients(
+                model, one_hot(job.sequence), job.label_index, job.baselines,
+                steps=steps, label_name=job.label_name,
+                sample_id=job.sample_id)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

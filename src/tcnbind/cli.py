@@ -14,7 +14,9 @@ Exit codes; every failure ends with a one-line message on stderr:
      with no positive label, a label without positives to find motifs for,
      a motif window longer than the sequences), or an output path that
      cannot be written;
-  3  numerical abort: the training loss became non-finite.
+  3  numerical abort: a result became non-finite: the training loss, or a
+     value that overflowed or turned invalid (NaN) in a step that scores,
+     attributes or builds motifs from a model whose weights are finite.
 """
 
 from __future__ import annotations
@@ -410,7 +412,9 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        # a non-finite result from finite inputs stops the command
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (UsageError, trn.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -419,6 +423,9 @@ def main(argv=None) -> int:
         return 2
     except trn.TrainingDiverged as exc:
         logger.error("%s", exc)
+        return 3
+    except FloatingPointError as exc:
+        logger.error("non-finite result: %s", exc)
         return 3
 
 

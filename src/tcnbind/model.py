@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -209,6 +209,15 @@ _TAPLOOP_BLOCK_ELEMENTS = 4096 * 32
 # paper-shape evaluate showed no stall.
 _TOEPLITZ_BLOCK = 4
 
+# Block rows of every dW GEMM, X^T @ G over a chunk, are padded with zero
+# rows to a multiple of this, so dW has the bits on one BLAS thread that it
+# has on two. The bits of a plain [K, 128]^T @ [K, 128] product depend on
+# OpenBLAS's thread count at most K: 76 of 80 K drawn from 500-70000
+# differed between 1 and 2 threads; padded to a multiple of 32, 0 of 40
+# did (16: 20 of 40; 8: 29 of 40), in the time of the plain product
+# (2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
+_DW_DEPTH = 32
+
 # Kernel width from which the forward and the backward's dx run the
 # block-Toeplitz GEMMs; below it, one GEMM per tap. dW runs the block form
 # at every width. The block form does (M+1)*g/k the multiply-adds of
@@ -258,14 +267,16 @@ def _toeplitz_layout(k, d, s, length):
     return g, step, d, blocks
 
 
-def _phase_major(a, phases, rows, offset=0):
-    """[B, n, C] to [B, phases * rows, C], zero-filled: row
-    r*rows + offset + u holds a[:, r + phases*u]."""
-    out = np.zeros((a.shape[0], phases, rows, a.shape[2]), dtype=np.float32)
+def _phase_major(a, phases, rows, offset=0, pad=0):
+    """[B, n, C] to the flat rows [B * phases * rows + pad, C], zero-filled:
+    row (b*phases + r)*rows + offset + u holds a[b, r + phases*u]."""
+    nb, _, c = a.shape
+    flat = np.zeros((nb * phases * rows + pad, c), dtype=np.float32)
+    out = flat[:nb * phases * rows].reshape(nb, phases, rows, c)
     for r in range(phases):
         part = a[:, r::phases]
         out[:, r, offset:offset + part.shape[1]] = part
-    return out.reshape(a.shape[0], phases * rows, a.shape[2])
+    return flat
 
 
 def _from_phase_major(a, phases, shape, offset=0):
@@ -364,62 +375,32 @@ def _taploop_input_grad(g, weights, d, s, length):
     return dx
 
 
-def _toeplitz_forward(x, weights, bias, d, s):
-    """y of the conv by the backward's block layout and bands: output block
-    i is Y[i] = bias + sum_m X[i+m] @ T_m, m = 0..M.
-
-    Each chunk of records is staged phase-major, (k-1) zeros per phase then
-    the phase's inputs, and runs one 2-D GEMM per band over all its block
-    rows (``_toeplitz_layout``). A dilated strided conv runs at stride 1
-    and keeps every s-th position."""
-    nb, length, in_ch = x.shape
-    out_ch, _, k = weights.shape
-    g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
-    # T_m as C-order [g*C, (g/step)*O]: OpenBLAS rounds a product of few
-    # rows by a transposed operand otherwise than the same rows of a taller
-    # one, which would tie y's bits to how the batch is cut
-    bands = _toeplitz_bands(weights, g, step, (length - 1) % step, True)
-    rows = phases * blocks  # block rows per record
-    width = (length - 1) // step + 1  # positions the blocks compute
-    keep = s // step  # of those, every keep-th is emitted
-    y = np.empty((nb, (length - 1) // s + 1, out_ch), dtype=np.float32)
-    per = max(1, _TAPLOOP_BLOCK_ELEMENTS // (rows * g * max(in_ch, out_ch)))
-    for r0 in range(0, nb, per):
-        xr = x[r0:r0 + per]
-        n = len(xr) * rows
-        xb = _phase_major(xr, phases, blocks * g, k - 1).reshape(n, -1)
-        yb = xb @ bands[0]
-        for m in range(1, len(bands)):
-            yb[:n - m] += xb[m:] @ bands[m]
-        yr = _from_phase_major(yb, phases, (len(xr), width, out_ch))
-        np.add(yr[:, (width - 1) % keep::keep], bias, out=y[r0:r0 + per])
-    return y
-
-
 def _conv_taploop(x, p, need_dx):
     """The conv kernel, forward and backward, over the input array ``x``
     [B, L, C_in]: ``(y, backward_fn)``.
 
     A conv of kernel width k >= ``_TOEPLITZ_FORWARD_MIN_K`` runs its
-    forward in the block-Toeplitz form of the backward
-    (``_toeplitz_forward``), and so does its backward's dx; a narrower one
-    runs both as one batched GEMM per tap (``_taploop_forward``,
-    ``_taploop_input_grad``).
+    forward and its backward's dx in the block-Toeplitz form; a narrower
+    one runs both as one batched GEMM per tap (``_taploop_forward``,
+    ``_taploop_input_grad``). dW takes the block form at every k.
 
-    The block-Toeplitz backward groups positions into the blocks of
-    ``_toeplitz_layout``. With the banded matrices T_m of
-    ``_toeplitz_bands``, block i of the output gradient G feeds input
-    blocks i..i+M: dX[i+m] += G[i] @ T_m^T, and dW folds D_m = X^T @ G
-    back onto the k taps (``_fold_bands``), at every k; each is one GEMM
-    per m over every block row of a chunk of records, on the one staging
-    of G. The backward computes dx only when ``need_dx``, and rebuilds its
-    bands rather than keep the forward's; a dx-only backward below the
-    cutoff stages nothing in the block layout.
+    The block form groups positions into the blocks of
+    ``_toeplitz_layout``, worked out once per conv, and stages x and G
+    phase-major, a chunk of records at a time. With the banded matrices T_m
+    of ``_toeplitz_bands``, output block i is Y[i] = bias + sum_m X[i+m] @
+    T_m, m = 0..M; block i of the output gradient G feeds input blocks
+    i..i+M: dX[i+m] += G[i] @ T_m^T; and dW folds D_m = X^T @ G back onto
+    the k taps (``_fold_bands``). Each is one 2-D GEMM per m over every
+    block row of a chunk. A dilated strided conv's block form runs at
+    stride 1: the forward keeps every s-th position, and the backward
+    spreads G to every position. The backward computes dx only when
+    ``need_dx``, and rebuilds its bands rather than keep the forward's; a
+    dx-only backward below the cutoff stages nothing in the block layout.
 
     For dW the backward keeps ``x``, the input array itself and not a
     copy (the op's node keeps only a data-less handle of its input
-    tensor), and pads each chunk of records into the block layout just
-    before that chunk's GEMMs.
+    tensor), and stages each chunk of records just before that chunk's
+    GEMMs.
     """
     nb, length, in_ch = x.shape
     out_ch, _, k = p.weights.shape
@@ -429,17 +410,50 @@ def _conv_taploop(x, p, need_dx):
     first = (length - 1) % s  # first position emitted
     weights = p.weights.data
     wide = k >= _TOEPLITZ_FORWARD_MIN_K
-    forward = _toeplitz_forward if wide else _taploop_forward
-    y = forward(x, weights, p.bias.data, d, s)
+    g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
+    band = (g + k - 2) // g  # M
+    lead = (length - 1) % step  # first position the block form computes
+    rows = phases * blocks  # block rows per record
+    # records per chunk of the block form, by its largest staged array
+    per = max(1, _TAPLOOP_BLOCK_ELEMENTS // (rows * g * max(in_ch, out_ch)))
+
+    def padding(records):
+        """Zero block rows that take a chunk's records * rows up to a
+        multiple of ``_DW_DEPTH``."""
+        return -records * rows % _DW_DEPTH
+
+    def staged_x(xr):
+        """A chunk of records of x as flat block rows: (k-1) zeros per
+        phase, then x[t] at row k-1 + t // phases; then M plus the
+        ``padding`` zero rows, so that each band's dW GEMM reads as many
+        rows as the padded G has."""
+        pad = (padding(len(xr)) + band) * g
+        return _phase_major(xr, phases, blocks * g, k - 1, pad).reshape(
+            -1, g * in_ch)
+
+    if wide:
+        # T_m as C-order [g*C, (g/step)*O]: OpenBLAS rounds a product of
+        # few rows by a transposed operand otherwise than the same rows of
+        # a taller one, which would tie y's bits to how the batch is cut
+        bands = _toeplitz_bands(weights, g, step, lead, True)
+        width = (length - 1) // step + 1  # positions the blocks compute
+        keep = s // step  # of those, every keep-th is emitted
+        y = np.empty((nb, (length - 1) // s + 1, out_ch), dtype=np.float32)
+        for r0 in range(0, nb, per):
+            xr = x[r0:r0 + per]
+            n = len(xr) * rows
+            xb = staged_x(xr)
+            yb = xb[:n] @ bands[0]
+            for m in range(1, band + 1):
+                yb[:n - m] += xb[m:n] @ bands[m]
+            yr = _from_phase_major(yb, phases, (len(xr), width, out_ch))
+            np.add(yr[:, (width - 1) % keep::keep], p.bias.data,
+                   out=y[r0:r0 + per])
+    else:
+        y = _taploop_forward(x, weights, p.bias.data, d, s)
     block_dx = need_dx and wide
     need_db = ad.needs_grad(p.bias)
     saved = x if ad.needs_grad(p.weights) else None  # kept for dW only
-    g, step, phases, blocks = _toeplitz_layout(k, d, s, length)
-    band = (g + k - 2) // g  # M
-    lead = (length - 1) % step  # first position the backward emits
-    rows = phases * blocks  # block rows per record
-    # records per chunk of the backward, by its largest staged array
-    per = max(1, _TAPLOOP_BLOCK_ELEMENTS // (rows * g * max(in_ch, out_ch)))
 
     def backward_fn(gd: np.ndarray):
         dx = dw = db = None
@@ -463,15 +477,15 @@ def _conv_taploop(x, p, need_dx):
                 gr = np.zeros((len(gr), length, out_ch), dtype=np.float32)
                 gr[:, first::s] = gd[r0:r0 + per]
             n = len(gr) * rows
-            gf = _phase_major(gr, phases, blocks * (g // step)).reshape(n, -1)
+            gf = _phase_major(gr, phases, blocks * (g // step), 0,
+                              padding(len(gr)) * (g // step)).reshape(
+                -1, (g // step) * out_ch)
             if saved is not None:
-                # (k-1) zeros per phase, then x[t] at row k-1 + t // phases
-                xb = _phase_major(saved[r0:r0 + per], phases, blocks * g,
-                                  k - 1).reshape(n, -1)
+                xb = staged_x(saved[r0:r0 + per])
                 for m in range(band + 1):
-                    dbands[m] += xb[m:].T @ gf[:n - m]
+                    dbands[m] += xb[m:m + len(gf)].T @ gf
             if block_dx:
-                dxb = gf @ tt[0]
+                dxb = gf[:n] @ tt[0]
                 for m in range(1, band + 1):
                     dxb[m:] += gf[:n - m] @ tt[m]
                 dx[r0:r0 + per] = _from_phase_major(
@@ -636,9 +650,6 @@ class TcnModel:
         _check_parameters(config, params)
         self.config = config
         self.params = params
-        self._cnn: list[Conv1dParams] = []
-        self._blocks: list[TcnBlockParams] = []
-        self._wire()
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "TcnModel":
@@ -649,30 +660,6 @@ class TcnModel:
                 "receptive field %d shorter than input length %d; "
                 "distant positions cannot reach the classifier", rf, config.input_length)
         return model
-
-    def _wire(self):
-        cfg = self.config
-        for i in range(cfg.cnn_layers):
-            self._cnn.append(Conv1dParams(self.params[f"cnn.{i}.weight"],
-                                          self.params[f"cnn.{i}.bias"], dilation=1))
-        for b in range(cfg.tcn_blocks):
-            proj = None
-            if f"tcn.{b}.projection.weight" in self.params:
-                proj = Conv1dParams(self.params[f"tcn.{b}.projection.weight"],
-                                    self.params[f"tcn.{b}.projection.bias"], dilation=1)
-            self._blocks.append(TcnBlockParams(
-                conv1=Conv1dParams(self.params[f"tcn.{b}.conv1.weight"],
-                                   self.params[f"tcn.{b}.conv1.bias"], dilation=2 ** b),
-                conv2=Conv1dParams(self.params[f"tcn.{b}.conv2.weight"],
-                                   self.params[f"tcn.{b}.conv2.bias"], dilation=2 ** b),
-                projection=proj,
-                dropout_ratio=cfg.dropout))
-        # the same tensors at dilation 1, conv2 at stride 2, for the
-        # decimated `last` forward
-        self._decimated_blocks: list[TcnBlockParams] = [
-            replace(block, conv1=replace(block.conv1, dilation=1),
-                    conv2=replace(block.conv2, dilation=1, stride=2))
-            for block in self._blocks]
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None,
@@ -687,20 +674,34 @@ class TcnModel:
         activation keyed by layer name, each at all L positions: it is the
         full-resolution view the causality checks read.
         """
-        cfg = self.config
+        cfg, params = self.config, self.params
         if x.shape[1:] != (cfg.input_length, len(BASES)):
             raise ValueError(
                 f"expected input [B, {cfg.input_length}, {len(BASES)}], "
                 f"got {x.shape}")
+        decimate = cfg.classifier_input == "last" and capture is None
+
+        def conv(name, dilation=1, stride=1):
+            return Conv1dParams(params[f"{name}.weight"],
+                                params[f"{name}.bias"], dilation, stride)
+        cnn = [conv(f"cnn.{i}") for i in range(cfg.cnn_layers)]
+        # block b at dilation 2^b, or on its decimated grid at dilation 1
+        # with conv2 at stride 2
+        blocks = [TcnBlockParams(
+            conv(f"tcn.{b}.conv1", 1 if decimate else 2 ** b),
+            conv(f"tcn.{b}.conv2", 1 if decimate else 2 ** b,
+                 2 if decimate else 1),
+            conv(f"tcn.{b}.projection")
+            if f"tcn.{b}.projection.weight" in params else None,
+            cfg.dropout) for b in range(cfg.tcn_blocks)]
 
         h = x
-        for i, conv in enumerate(self._cnn):
-            h = relu_dropout(conv1d_causal(h, conv), cfg.dropout, training, rng)
+        for i, layer in enumerate(cnn):
+            h = relu_dropout(conv1d_causal(h, layer), cfg.dropout, training, rng)
             if capture is not None:
                 capture[f"cnn.{i}"] = h.data.copy()
-        decimate = cfg.classifier_input == "last" and capture is None
         length, stride = h.shape[1], 1
-        for b, block in enumerate(self._decimated_blocks if decimate else self._blocks):
+        for b, block in enumerate(blocks):
             h = tcn_block(h, block, training, rng, length, stride)
             stride *= block.conv2.stride
             if capture is not None:
@@ -713,10 +714,10 @@ class TcnModel:
         if capture is not None:
             capture["features"] = feats.data.copy()
         hidden = relu_dropout(
-            ad.add(ad.matmul(feats, self.params["mlp.hidden.weight"]),
-                   self.params["mlp.hidden.bias"]), cfg.dropout, training, rng)
-        return ad.add(ad.matmul(hidden, self.params["mlp.out.weight"]),
-                      self.params["mlp.out.bias"])
+            ad.add(ad.matmul(feats, params["mlp.hidden.weight"]),
+                   params["mlp.hidden.bias"]), cfg.dropout, training, rng)
+        return ad.add(ad.matmul(hidden, params["mlp.out.weight"]),
+                      params["mlp.out.bias"])
 
     def zero_grad(self):
         for p in self.params.values():

@@ -423,16 +423,25 @@ def save_checkpoint(ckpt: ModelCheckpoint, path,
         fh.write(bytes(buf))
 
 
-def _utf8(chunk: memoryview, path) -> str:
+def _utf8(chunk: memoryview) -> str:
     try:
         return bytes(chunk).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: checkpoint text is not UTF-8 ({exc.reason})") from None
+        raise DataError(f"checkpoint text is not UTF-8 ({exc.reason})") from None
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
+    """The checkpoint in the file at ``path``; every DataError names the
+    file."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _parse_checkpoint(raw)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(raw: bytes) -> ModelCheckpoint:
     view = memoryview(raw)
     offset = 0
 
@@ -450,7 +459,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     config_len = struct.unpack("<I", take(4, "config length"))[0]
-    block = _utf8(take(config_len, "config block"), path)
+    block = _utf8(take(config_len, "config block"))
 
     pairs: dict[str, str] = {}
     for line in block.splitlines():
@@ -460,7 +469,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
             raise DataError(f"malformed config line {line!r}")
         key, value = line.split("=", 1)
         if key in pairs:
-            raise DataError(f"{path}: checkpoint config repeats {key!r}")
+            raise DataError(f"checkpoint config repeats {key!r}")
         pairs[key] = value
 
     texts = {}
@@ -475,7 +484,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
         config = ModelConfig(**{name: parse_field(ModelConfig, name, text)
                                 for name, text in texts.items()})
     except ValueError as exc:
-        raise DataError(f"{path}: bad checkpoint config: {exc}") from None
+        raise DataError(f"bad checkpoint config: {exc}") from None
     if len(label_names) != config.num_labels:
         raise DataError("label names do not match num_labels")
 
@@ -483,13 +492,16 @@ def load_checkpoint(path) -> ModelCheckpoint:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = struct.unpack("<H", take(2, "name length"))[0]
-        name = _utf8(take(name_len, "name"), path)
+        name = _utf8(take(name_len, "name"))
         ndim = struct.unpack("<B", take(1, "ndim"))[0]
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
         payload = take(4 * math.prod(dims), f"tensor {name!r}")
         if name in params:
-            raise DataError(f"{path}: checkpoint repeats tensor {name!r}")
+            raise DataError(f"checkpoint repeats tensor {name!r}")
         params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        if not np.isfinite(params[name]).all():
+            raise DataError(f"checkpoint tensor {name!r} holds a non-finite "
+                            f"value")
     if offset != len(raw):
         raise DataError(f"{len(raw) - offset} trailing bytes after checkpoint")
     return ModelCheckpoint(config, label_names, params, pairs)

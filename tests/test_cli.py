@@ -286,6 +286,14 @@ def bad_inputs(tmp_path_factory):
     (root / "overflow.ckpt").write_bytes(
         blob[:at] + head[:-1] + struct.pack("<B3I", 3, 2 ** 31, 2 ** 31, 4)
         + blob[at + len(entry):])
+    # one non-finite weight; and finite weights whose logits overflow
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("huge", 1e30)):
+        params = {key: array.copy() for key, array in ckpt.params.items()}
+        params["mlp.out.weight"][0, 0] = value
+        if name == "huge":
+            params["mlp.hidden.weight"][:] = value
+        save_checkpoint(ModelCheckpoint(config, ["TF0", "TF1"], params),
+                        root / f"{name}.ckpt")
     ckpt.params["tcn.0.conv1.weight"] = np.zeros((8, 8, 5), dtype=np.float32)
     save_checkpoint(ckpt, root / "wide.ckpt")
     (root / "non_ascii.tsv").write_bytes(
@@ -398,6 +406,19 @@ EXIT_CASES = {
                                        "{root}/ds.tsv", "--model",
                                        "{root}/repeated_tensor.ckpt",
                                        "--out", "{out}"]),
+    "checkpoint_nan_tensor": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                  "--model", "{root}/nan.ckpt",
+                                  "--out", "{out}"]),
+    "checkpoint_inf_tensor": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
+                                  "--model", "{root}/inf.ckpt",
+                                  "--out", "{out}"]),
+    "evaluate_overflow": (3, ["evaluate", "--dataset", "{root}/ds.tsv",
+                              "--model", "{root}/huge.ckpt", "--out", "{out}"]),
+    # numpy's error state is per thread: the IG workers must raise too
+    "attribute_threads_overflow": (3, ["attribute", "--dataset",
+                                       "{root}/ds.tsv", "--model",
+                                       "{root}/huge.ckpt", "--threads", "2",
+                                       "--out", "{out}"]),
     "checkpoint_wrong_shape": (2, ["evaluate", "--dataset", "{root}/ds.tsv",
                                    "--model", "{root}/wide.ckpt",
                                    "--out", "{out}"]),
@@ -445,7 +466,10 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                "non_utf8_model": "non_utf8.ckpt",
                "checkpoint_kernel_size_x": "kernel_x.ckpt",
                "checkpoint_repeated_key": "repeated_key.ckpt",
-               "checkpoint_repeated_tensor": "repeated_tensor.ckpt"}
+               "checkpoint_dims_overflow": "overflow.ckpt",
+               "checkpoint_repeated_tensor": "repeated_tensor.ckpt",
+               "checkpoint_nan_tensor": "nan.ckpt",
+               "checkpoint_inf_tensor": "inf.ckpt"}
 
 
 @pytest.mark.parametrize("case", list(EXIT_CASES))

@@ -373,8 +373,8 @@ class TestDilationPastTheLength:
     def test_matches_the_oracles_with_bounded_staging(self, monkeypatch, k,
                                                       stride):
         length, dilation = 10, 2 ** 19
-        for name, at in (("_taploop_forward", 3), ("_toeplitz_forward", 3),
-                         ("_taploop_input_grad", 2), ("_toeplitz_layout", 1)):
+        for name, at in (("_taploop_forward", 3), ("_taploop_input_grad", 2),
+                         ("_toeplitz_layout", 1)):
             def spy(*args, _fn=getattr(tcn_model, name), _at=at):
                 assert args[_at] <= length, f"staged at d={args[_at]}"
                 return _fn(*args)
@@ -686,6 +686,17 @@ class TestBlasThreadCount:
         assert len(one.split()) == 4
         assert stdout_on_blas_threads(BLOCK_DX, 2) == one
 
+    def test_conv_dw_keeps_its_bits_on_one_and_two_threads(self):
+        one = stdout_on_blas_threads(CONV_DW, 1)
+        assert len(one.split()) == 3
+        assert stdout_on_blas_threads(CONV_DW, 2) == one
+
+    def test_seeded_training_writes_one_checkpoint_on_one_and_two_threads(
+            self):
+        one = stdout_on_blas_threads(TINY_TRAIN, 1)
+        assert len(one.split()) == 2
+        assert stdout_on_blas_threads(TINY_TRAIN, 2) == one
+
 
 # The input gradient of a frozen-weight k=32 conv, which runs in the
 # block-Toeplitz form: 16 records of 32 channels, at (L, stride, dilation)
@@ -710,6 +721,60 @@ for length, stride, dilation in [(1000, 1, 1), (1000, 2, 1), (250, 2, 1),
     dx, dw, db = y.node.backward_fn(g)
     assert dw is None and db is None
     print(hashlib.sha256(dx.tobytes()).hexdigest())
+"""
+
+
+# The weight gradient of a conv over 4093 positions, at a block-Toeplitz
+# width, a per-tap width and a dilated per-tap one: block rows that are no
+# multiple of 32 in every dW GEMM but for the padding. Prints the sha256
+# of each dW's bytes.
+CONV_DW = """
+import hashlib
+import numpy as np
+from tcnbind.autodiff import Tensor
+from tcnbind.model import Conv1dParams, conv1d_causal
+rng = np.random.default_rng(4)
+for records, channels, k, dilation in [(2, 32, 32, 1), (1, 16, 8, 1),
+                                       (1, 8, 3, 2)]:
+    p = Conv1dParams(
+        Tensor(rng.uniform(-0.2, 0.2, (channels, channels, k))
+               .astype(np.float32), requires_grad=True),
+        Tensor(rng.uniform(-0.2, 0.2, channels).astype(np.float32)),
+        dilation=dilation)
+    x = Tensor(rng.uniform(-1, 1, (records, 4093, channels))
+               .astype(np.float32))
+    y = conv1d_causal(x, p)
+    dx, dw, db = y.node.backward_fn(
+        rng.uniform(-1, 1, y.shape).astype(np.float32))
+    assert dx is None and db is None
+    print(hashlib.sha256(dw.tobytes()).hexdigest())
+"""
+
+# Two epochs of seeded training, 64 records of L=200, kernel 8, 3 blocks of
+# 16 channels, with each readout. Prints the sha256 of each checkpoint
+# file's bytes.
+TINY_TRAIN = """
+import hashlib, os, tempfile
+import numpy as np
+from tcnbind.data import SyntheticSpec, generate_synthetic
+from tcnbind.model import ModelConfig, TcnModel
+from tcnbind.training import (TrainConfig, save_checkpoint, train)
+ds = generate_synthetic(SyntheticSpec(64, 200, {"A": "CACGTG",
+                                                "B": "TGACTCA"}),
+                        np.random.default_rng(7))
+with tempfile.TemporaryDirectory() as folder:
+    for readout in ("last", "mean"):
+        config = ModelConfig(input_length=200, num_labels=2, cnn_layers=1,
+                             cnn_kernels=8, tcn_blocks=3, tcn_channels=16,
+                             kernel_size=8, mlp_hidden=16, dropout=0.2,
+                             classifier_input=readout)
+        model = TcnModel.initialize(config, np.random.default_rng(8))
+        ckpt, _ = train(model, ds, ds, TrainConfig(batch_size=32, epochs=2,
+                                                   seed=9))
+        path = os.path.join(folder, readout + ".ckpt")
+        save_checkpoint(ckpt, path)
+        with open(path, "rb") as fh:
+            print(hashlib.sha256(fh.read()).hexdigest())
 """
 
 

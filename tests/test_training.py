@@ -1,4 +1,5 @@
 import math
+import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -292,6 +293,39 @@ class TestCheckpoints:
         path.write_bytes(blob[:len(blob) - 10])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("part, edit, message", [
+        ("file", lambda blob: b"XXXX" + blob[4:], "bad checkpoint magic"),
+        ("file", lambda blob: blob[:4] + struct.pack("<I", 99) + blob[8:],
+         "unsupported checkpoint version 99"),
+        ("file", lambda blob: blob[:-10], "truncated checkpoint"),
+        ("file", lambda blob: blob + b"\x00", "1 trailing bytes"),
+        ("config", lambda block: block.replace(b"dropout=0.0\n", b""),
+         "checkpoint config missing 'dropout'"),
+        ("config", lambda block: block.replace(b"label_names=A,B\n", b""),
+         "missing label names"),
+        ("config", lambda block: block + b"no equals sign\n",
+         "malformed config line 'no equals sign'"),
+        ("config", lambda block: block.replace(b"=A,B", b"=A"),
+         "label names do not match num_labels"),
+        ("weight", np.nan, "tensor 'mlp.out.weight' holds a non-finite"),
+        ("weight", -np.inf, "tensor 'mlp.out.weight' holds a non-finite"),
+    ], ids=["magic", "version", "truncated", "trailing", "missing_key",
+            "missing_labels", "malformed_line", "label_count", "nan", "inf"])
+    def test_every_error_names_the_file(self, tmp_path, part, edit, message):
+        _, ckpt = self.make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        if part == "weight":
+            ckpt.params["mlp.out.weight"][0, 0] = edit
+        save_checkpoint(ckpt, path)
+        if part == "config":
+            rewrite_checkpoint_config(path, edit)
+        elif part == "file":
+            path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)
 
     def test_label_registry_mismatch_detected(self):
         _, ckpt = self.make_checkpoint()
