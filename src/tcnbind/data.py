@@ -7,8 +7,11 @@ Coordinates are 0-based half-open throughout. Sequences use the alphabet
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -21,6 +24,7 @@ for _i, _b in enumerate(BASES + "N"):
     _BASE_INDEX[ord(_b)] = _i
 _ONE_HOT_ROWS = np.vstack([np.eye(4, dtype=np.float32),
                            np.zeros((1, 4), dtype=np.float32)])
+_LETTERS = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
 
 
 class DataError(ValueError):
@@ -40,18 +44,13 @@ class GenomicInterval:
 
 
 @dataclass(frozen=True)
-class LabeledRegion:
-    chrom: str
-    start: int
-    end: int
+class LabeledRegion(GenomicInterval):
     labels: frozenset[str]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.labels:
             raise DataError("region must carry at least one label")
-        if self.start < 0 or self.start >= self.end:
-            raise DataError(
-                f"invalid region {self.chrom}:{self.start}-{self.end}")
 
     @property
     def midpoint(self) -> int:
@@ -139,53 +138,31 @@ def parse_fasta(stream) -> dict[str, str]:
 def intersect_peaks(peak_sets: dict[str, list[GenomicInterval]]) -> list[LabeledRegion]:
     """Partition per-chromosome peak coverage into maximal constant-label regions.
 
-    Same-TF overlaps are unioned first; every emitted region carries the
-    full set of TFs covering it, and touching regions with identical label
-    sets are merged.
+    Every emitted region carries the full set of TFs covering it, and
+    touching regions with identical label sets are merged.
     """
-    by_chrom: dict[str, list[tuple[int, int, str]]] = {}
+    events: dict[str, list[tuple[int, int, str]]] = {}
     for tf, intervals in peak_sets.items():
-        merged: dict[str, list[list[int]]] = {}
-        for iv in sorted(intervals, key=lambda iv: (iv.chrom, iv.start, iv.end)):
-            spans = merged.setdefault(iv.chrom, [])
-            if spans and iv.start <= spans[-1][1]:
-                spans[-1][1] = max(spans[-1][1], iv.end)
-            else:
-                spans.append([iv.start, iv.end])
-        for chrom, spans in merged.items():
-            by_chrom.setdefault(chrom, []).extend(
-                (s, e, tf) for s, e in spans)
+        for iv in intervals:
+            events.setdefault(iv.chrom, []).extend(
+                ((iv.start, 1, tf), (iv.end, -1, tf)))
 
     regions: list[LabeledRegion] = []
-    for chrom in sorted(by_chrom):
-        events: list[tuple[int, int, str]] = []
-        for start, end, tf in by_chrom[chrom]:
-            events.append((start, 1, tf))
-            events.append((end, -1, tf))
-        events.sort(key=lambda e: e[0])
-
-        active: dict[str, int] = {}
-        segments: list[tuple[int, int, frozenset[str]]] = []
-        prev_pos = None
-        idx = 0
-        while idx < len(events):
-            pos = events[idx][0]
-            if prev_pos is not None and pos > prev_pos and active:
-                segments.append((prev_pos, pos, frozenset(active)))
-            while idx < len(events) and events[idx][0] == pos:
-                _, delta, tf = events[idx]
-                active[tf] = active.get(tf, 0) + delta
-                if active[tf] == 0:
-                    del active[tf]
-                idx += 1
-            prev_pos = pos
-
-        for start, end, labels in segments:
-            if regions and regions[-1].chrom == chrom \
-                    and regions[-1].end == start and regions[-1].labels == labels:
-                regions[-1] = LabeledRegion(chrom, regions[-1].start, end, labels)
-            else:
-                regions.append(LabeledRegion(chrom, start, end, labels))
+    for chrom in sorted(events):
+        open_peaks: Counter[str] = Counter()  # per TF; its overlaps stack
+        prev = 0
+        for pos, group in itertools.groupby(
+                sorted(events[chrom], key=itemgetter(0)), key=itemgetter(0)):
+            labels = frozenset(tf for tf, n in open_peaks.items() if n > 0)
+            last = regions[-1] if regions else None
+            if last and (last.chrom, last.end, last.labels) == (
+                    chrom, prev, labels):
+                regions[-1] = LabeledRegion(chrom, last.start, pos, labels)
+            elif labels:
+                regions.append(LabeledRegion(chrom, prev, pos, labels))
+            for _, delta, tf in group:
+                open_peaks[tf] += delta
+            prev = pos
     return regions
 
 
@@ -219,24 +196,11 @@ def dinucleotide_shuffle(sequence: str, rng: np.random.Generator) -> str:
     """
     if not sequence:
         raise DataError("cannot shuffle an empty sequence")
-    if "N" in sequence:
-        out = []
-        segment = []
-        for ch in sequence:
-            if ch == "N":
-                if segment:
-                    out.append(_euler_shuffle("".join(segment), rng))
-                    segment = []
-                out.append("N")
-            else:
-                segment.append(ch)
-        if segment:
-            out.append(_euler_shuffle("".join(segment), rng))
-        return "".join(out)
-    return _euler_shuffle(sequence, rng)
+    return "N".join(_euler_shuffle(part, rng) for part in sequence.split("N"))
 
 
 def _euler_shuffle(seq: str, rng: np.random.Generator) -> str:
+    # an empty or one-letter part returns before it draws
     if len(seq) < 2 or len(set(seq)) == 1:
         return seq
     chars = sorted(set(seq))
@@ -367,7 +331,6 @@ def build_dataset(peak_sets: dict[str, list[GenomicInterval]],
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
     label_names = list(peak_sets)
-    index = {name: i for i, name in enumerate(label_names)}
     regions = intersect_peaks(peak_sets)
     sequences, rows, origins = [], [], []
     skipped = 0
@@ -376,17 +339,13 @@ def build_dataset(peak_sets: dict[str, list[GenomicInterval]],
         if seq is None:
             skipped += 1
             continue
-        row = np.zeros(len(label_names), dtype=np.uint8)
-        for tf in region.labels:
-            row[index[tf]] = 1
         sequences.append(seq)
-        rows.append(row)
+        rows.append([name in region.labels for name in label_names])
         origins.append(region.origin)
     if skipped:
         logger.info("skipped %d regions whose window exceeds chromosome bounds",
                     skipped)
-    labels = np.array(rows, dtype=np.uint8) if rows else np.zeros(
-        (0, len(label_names)), dtype=np.uint8)
+    labels = np.array(rows, np.uint8).reshape(len(rows), len(label_names))
     return EncodedDataset(label_names, sequences, labels, origins)
 
 
@@ -437,44 +396,40 @@ class SyntheticSpec:
             raise DataError("noise must be in [0, 1]")
 
 
-def sample_label_vector(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+def generate_synthetic(spec: SyntheticSpec,
+                       rng: np.random.Generator) -> EncodedDataset:
+    """Draw each record in turn: its label set, its background, then each
+    active label's motif in label order (mutations, then position)."""
     names = list(spec.label_motifs)
     k = len(names)
     probs = np.array([spec.marginals[n] for n in names])
-    active = rng.random(k) < probs
-    if k > 1 and not active.any():
-        active[rng.integers(k)] = True
-    pairs = sorted(spec.co_occurrence.items(),
-                   key=lambda item: (names.index(item[0][0]), names.index(item[0][1])))
-    for (a, b), c in pairs:
-        if c > 0 and rng.random() < c:
-            ia, ib = names.index(a), names.index(b)
-            if active[ia] or active[ib]:
+    index = {name: i for i, name in enumerate(names)}
+    pairs = sorted((index[a], index[b], c)
+                   for (a, b), c in spec.co_occurrence.items() if c > 0)
+    motifs = [_BASE_INDEX[np.frombuffer(spec.label_motifs[n].encode("ascii"),
+                                        dtype=np.uint8)] for n in names]
+    labels = np.zeros((spec.num_samples, k), dtype=np.uint8)
+    sequences = []
+    for row in labels:
+        active = rng.random(k) < probs
+        if k > 1 and not active.any():
+            active[rng.integers(k)] = True
+        for ia, ib, c in pairs:
+            if rng.random() < c and (active[ia] or active[ib]):
                 active[ia] = active[ib] = True
-    return active.astype(np.uint8)
-
-
-def generate_synthetic(spec: SyntheticSpec,
-                       rng: np.random.Generator) -> EncodedDataset:
-    names = list(spec.label_motifs)
-    sequences, rows = [], []
-    for _ in range(spec.num_samples):
-        y = sample_label_vector(spec, rng)
         background = rng.integers(0, 4, size=spec.length)
-        for li, name in enumerate(names):
-            if not y[li]:
-                continue
-            motif = np.frombuffer(spec.label_motifs[name].encode(), dtype=np.uint8)
-            codes = _BASE_INDEX[motif].copy()
+        for motif in itertools.compress(motifs, active):
+            codes = motif
             if spec.noise > 0:
-                flips = rng.random(codes.size) < spec.noise
+                flips = rng.random(motif.size) < spec.noise
                 # adding 1..3 mod 4 always lands on a different base
-                codes[flips] = (codes[flips] + rng.integers(1, 4, codes.size)[flips]) % 4
-            pos = int(rng.integers(0, spec.length - codes.size + 1))
-            background[pos:pos + codes.size] = codes
-        sequences.append("".join(BASES[c] for c in background))
-        rows.append(y)
-    return EncodedDataset(names, sequences, np.array(rows, dtype=np.uint8))
+                codes = np.where(
+                    flips, (motif + rng.integers(1, 4, motif.size)) % 4, motif)
+            pos = int(rng.integers(0, spec.length - motif.size + 1))
+            background[pos:pos + motif.size] = codes
+        sequences.append(_LETTERS[background].tobytes().decode("ascii"))
+        row[:] = active
+    return EncodedDataset(names, sequences, labels)
 
 
 def split_dataset(ds: EncodedDataset, train_frac: float,
@@ -528,21 +483,20 @@ def load_dataset(path) -> EncodedDataset:
                 raise DataError(f"line {lineno}: expected 3 tab-separated fields")
             origin, seq, label_field = parts
             seq = seq.upper()
+            if not seq:
+                raise DataError(f"line {lineno}: empty sequence field")
             if set(seq) - set("ACGTN"):
                 raise DataError(f"line {lineno}: invalid sequence characters")
             active = [s for s in label_field.split(",") if s]
             if not active and len(label_names) > 1:
                 raise DataError(f"line {lineno}: empty label field")
-            row = np.zeros(len(label_names), dtype=np.uint8)
             for name in active:
                 if name not in label_names:
                     raise DataError(f"line {lineno}: unknown label {name!r}")
-                row[label_names.index(name)] = 1
             origins.append(origin)
             sequences.append(seq)
-            rows.append(row)
+            rows.append([name in active for name in label_names])
     if label_names is None:
         raise DataError("dataset file has no #labels header")
-    labels = np.array(rows, dtype=np.uint8) if rows else np.zeros(
-        (0, len(label_names)), dtype=np.uint8)
+    labels = np.array(rows, np.uint8).reshape(len(rows), len(label_names))
     return EncodedDataset(label_names, sequences, labels, origins)

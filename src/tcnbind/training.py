@@ -498,7 +498,11 @@ def _parse_checkpoint(raw: bytes) -> ModelCheckpoint:
         payload = take(4 * math.prod(dims), f"tensor {name!r}")
         if name in params:
             raise DataError(f"checkpoint repeats tensor {name!r}")
-        params[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            params[name] = np.frombuffer(payload, "<f4").reshape(dims).copy()
+        except ValueError:  # a zero dim beside dims whose product overflows
+            raise DataError(f"checkpoint tensor {name!r} has dims {dims} "
+                            f"too large to hold") from None
         if not np.isfinite(params[name]).all():
             raise DataError(f"checkpoint tensor {name!r} holds a non-finite "
                             f"value")

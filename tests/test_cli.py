@@ -300,6 +300,9 @@ def bad_inputs(tmp_path_factory):
         (root / "ds.tsv").read_bytes() + "# caf\u00e9\n".encode())
     (root / "non_ascii.cfg").write_bytes("dropout = 0.0  # \u00e9\n".encode())
     (root / "g.fa").write_text(">chr1\nACGTACGTACGTACGTACGTACGT\n")
+    # enough records that the held-out split leaves both parts non-empty
+    (root / "empty_seqs.tsv").write_text("#labels\tA\n" + "".join(
+        f"c:{i}-{i + 1}\t\t{'A' * (i % 2)}\n" for i in range(6)))
     (root / "p.bed").write_text("chr1\t4\t20\n")
     return root
 
@@ -450,6 +453,8 @@ EXIT_CASES = {
                                        "--out", "{out}"]),
     "empty_training_set": (2, ["train", "--dataset", "{root}/empty.tsv",
                                "--out", "{out}"]),
+    "empty_sequences": (2, ["train", "--dataset", "{root}/empty_seqs.tsv",
+                            "--out", "{out}"]),
     "attribute_without_records": (2, ["attribute", "--dataset",
                                       "{root}/empty.tsv", "--model",
                                       "{root}/m.ckpt", "--out", "{out}"]),

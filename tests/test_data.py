@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -70,9 +71,13 @@ def coverage_by_base(peak_sets, chrom, limit):
     return out
 
 
+CHROMS = ("c1", "c2")
+
+
 def interval_sets(max_tfs=3, max_intervals=4, span=60):
-    interval = st.tuples(st.integers(0, span - 2), st.integers(1, 12)).map(
-        lambda t: (t[0], min(t[0] + t[1], span)))
+    interval = st.tuples(st.sampled_from(CHROMS), st.integers(0, span - 2),
+                         st.integers(1, 12)).map(
+        lambda t: (t[0], t[1], min(t[1] + t[2], span)))
     per_tf = st.lists(interval, min_size=0, max_size=max_intervals)
     return st.dictionaries(
         st.sampled_from([f"TF{i}" for i in range(max_tfs)]), per_tf,
@@ -105,18 +110,24 @@ class TestIntersectPeaks:
     @given(interval_sets())
     @settings(max_examples=120, deadline=None)
     def test_matches_per_base_coverage_oracle(self, raw):
-        peak_sets = {tf: [GenomicInterval("c", s, e) for s, e in ivs]
+        peak_sets = {tf: [GenomicInterval(c, s, e) for c, s, e in ivs]
                      for tf, ivs in raw.items()}
         regions = intersect_peaks(peak_sets)
-        # regions are sorted, disjoint, label sets non-empty
+        # regions are sorted, disjoint, label sets non-empty, and maximal:
+        # touching regions carry different label sets
         for a, b in zip(regions, regions[1:]):
-            assert a.end <= b.start
-        rebuilt = [frozenset()] * 60
-        for r in regions:
-            for pos in range(r.start, r.end):
-                assert rebuilt[pos] == frozenset(), "regions overlap"
-                rebuilt[pos] = r.labels
-        assert rebuilt == coverage_by_base(peak_sets, "c", 60)
+            assert (a.chrom, a.end) <= (b.chrom, b.start)
+            if (a.chrom, a.end) == (b.chrom, b.start):
+                assert a.labels != b.labels, "touching regions not merged"
+        for chrom in CHROMS:
+            rebuilt = [frozenset()] * 60
+            for r in regions:
+                if r.chrom != chrom:
+                    continue
+                for pos in range(r.start, r.end):
+                    assert rebuilt[pos] == frozenset(), "regions overlap"
+                    rebuilt[pos] = r.labels
+            assert rebuilt == coverage_by_base(peak_sets, chrom, 60)
 
     def test_adjacent_same_label_regions_merge(self):
         regions = intersect_peaks({
@@ -221,6 +232,15 @@ class TestDinucleotideShuffle:
         outs = {dinucleotide_shuffle(seq, np.random.default_rng(s)) for s in range(12)}
         assert len(outs) > 1
 
+    def test_seeded_shuffle_keeps_its_output(self):
+        # seeded shuffles keep their output; the next draw pins how much
+        # of the stream the shuffle used
+        rng = np.random.default_rng(27)
+        out = dinucleotide_shuffle(
+            "ACGGTACCGTTANNGCATGCAAGTCNAGGCTTACGATCGATN", rng)
+        assert out == "ACCGGTACGTTANNGTGCAGCAATCNATCGCGATTAGGACTN"
+        assert int(rng.integers(1 << 30)) == 973959154
+
 
 def exact_marginals(spec: SyntheticSpec) -> np.ndarray:
     """Enumerate the label-set distribution of the generator's sampling model."""
@@ -305,6 +325,19 @@ class TestGenerateSynthetic:
         for seq, y in zip(ds.sequences, ds.labels):
             if y[0]:
                 assert "CACGTG" in seq
+
+    def test_seeded_set_keeps_its_bytes(self, tmp_path):
+        # seeded sets keep their bytes: noise, one marginal off 0.5 and a
+        # co-occurrence pair exercise every draw of the loop
+        spec = SyntheticSpec(40, 30, {"A": "CACGTG", "B": "TGACTCA",
+                                      "C": "GGGCGG"},
+                             marginals={"A": 0.2, "B": 0.5, "C": 0.5},
+                             co_occurrence={("A", "C"): 0.6}, noise=0.1)
+        save_dataset(generate_synthetic(spec, np.random.default_rng(27)),
+                     tmp_path / "ds.tsv")
+        digest = hashlib.sha256((tmp_path / "ds.tsv").read_bytes()).hexdigest()
+        assert digest == ("6c482bf59e9666f7e4a137b5d404cf37"
+                          "3bbc49027a42be11167867fbebb5973e")
 
 
 class TestSplitDataset:
@@ -397,6 +430,12 @@ class TestDatasetRoundTrip:
         path = tmp_path / "bad.tsv"
         path.write_text("#labels\tA,B\nsynthetic:0-0\tACGT\t\n")
         with pytest.raises(DataError, match="line 2"):
+            load_dataset(path)
+
+    def test_empty_sequence_field_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#labels\tA\nc:1-2\t\tA\n")
+        with pytest.raises(DataError, match="line 2: empty sequence"):
             load_dataset(path)
 
     def test_empty_label_allowed_in_binary_mode(self, tmp_path):

@@ -294,6 +294,24 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
 
+    def test_empty_tensor_with_overflowing_dims_rejected(self, tmp_path):
+        # dims (0, 2^32 - 1, 2^32 - 1) ask for no payload bytes, but numpy
+        # cannot shape an array whose other dims overflow its size type
+        _, ckpt = self.make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        name, last = list(ckpt.params.items())[-1]
+        entry = (struct.pack(f"<H{len(name)}sB", len(name), name.encode(),
+                             last.ndim)
+                 + struct.pack(f"<{last.ndim}I", *last.shape)
+                 + last.astype("<f4").tobytes())
+        blob = path.read_bytes()
+        assert blob.endswith(entry)
+        path.write_bytes(blob[:-len(entry)] + entry[:2 + len(name)]
+                         + struct.pack("<B3I", 3, 0, 2 ** 32 - 1, 2 ** 32 - 1))
+        with pytest.raises(DataError, match="too large to hold"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("part, edit, message", [
         ("file", lambda blob: b"XXXX" + blob[4:], "bad checkpoint magic"),
         ("file", lambda blob: blob[:4] + struct.pack("<I", 99) + blob[8:],
