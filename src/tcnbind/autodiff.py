@@ -111,6 +111,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def grad_enabled() -> bool:
+    """Whether ops record graphs now: false inside ``no_grad``."""
+    return _grad_enabled.get()
+
+
 def needs_grad(t: Tensor) -> bool:
     """Whether an op recorded now must produce a gradient for ``t``: grad
     mode is on and ``t`` requires one, the rule ``_record`` applies."""

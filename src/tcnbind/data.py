@@ -63,13 +63,16 @@ class LabeledRegion(GenomicInterval):
 
 @contextlib.contextmanager
 def open_text(path, encoding: str = "ascii"):
-    """Open a text file for reading; bytes that do not decode raise a
-    DataError naming the file."""
+    """Open a text file for reading. Bytes that do not decode, and every
+    DataError raised while the file is open (a parser's "line N: ..."),
+    raise a DataError naming the file."""
     try:
         with open(path, "r", encoding=encoding) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not {encoding} text ({exc.reason})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _lines(stream) -> Iterable[str]:
@@ -460,6 +463,8 @@ def save_dataset(ds: EncodedDataset, path, header_lines: Iterable[str] = ()):
 
 
 def load_dataset(path) -> EncodedDataset:
+    """The records of a ``save_dataset`` file; every DataError names the
+    file."""
     label_names: Optional[list[str]] = None
     sequences, rows, origins = [], [], []
     with open_text(path) as fh:
@@ -496,7 +501,7 @@ def load_dataset(path) -> EncodedDataset:
             origins.append(origin)
             sequences.append(seq)
             rows.append([name in active for name in label_names])
-    if label_names is None:
-        raise DataError("dataset file has no #labels header")
+        if label_names is None:
+            raise DataError("dataset file has no #labels header")
     labels = np.array(rows, np.uint8).reshape(len(rows), len(label_names))
     return EncodedDataset(label_names, sequences, labels, origins)

@@ -338,7 +338,7 @@ def _taploop_forward(x, weights, bias, d, s):
     pad = (k - 1) * d
     first = (length - 1) % s
     windows = [slice(j * d + first, j * d + length, s) for j in range(k)]
-    taps = [np.ascontiguousarray(weights[:, :, k - 1 - j].T) for j in range(k)]
+    taps = np.ascontiguousarray(weights[:, :, ::-1].transpose(2, 1, 0))
     y = np.empty((nb, outputs, out_ch), dtype=np.float32)
     y[:] = bias
     records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (outputs * out_ch))
@@ -361,7 +361,7 @@ def _taploop_input_grad(g, weights, d, s, length):
     nb, _, out_ch = g.shape
     _, in_ch, k = weights.shape
     first = (length - 1) % s
-    taps = [np.ascontiguousarray(weights[:, :, i]) for i in range(k)]
+    taps = np.ascontiguousarray(weights.transpose(2, 0, 1))
     dx = np.zeros((nb, length, in_ch), dtype=np.float32)
     records = max(1, _TAPLOOP_BLOCK_ELEMENTS // (length * max(in_ch, out_ch)))
     for r in range(0, nb, records):
@@ -501,7 +501,9 @@ def relu_dropout(x: Tensor, ratio: float, training: bool,
                  rng: Optional[np.random.Generator],
                  length: Optional[int] = None, stride: int = 1) -> Tensor:
     """relu, then inverted dropout with a mask drawn from ``rng``; outside
-    training, or at ratio 0, ``ad.relu`` alone.
+    training, or at ratio 0, ``ad.relu`` alone. Under ``ad.no_grad`` that
+    relu runs in place: it overwrites ``x``'s array and returns ``x``, so
+    ``x`` must be an op output that nothing else reads.
 
     In training, one op whose node keeps y > 0 packed to bits, ceil(n/8)
     bytes for n values: with scale = 1/(1-ratio) >= 1, y > 0 just where
@@ -518,7 +520,10 @@ def relu_dropout(x: Tensor, ratio: float, training: bool,
     the last; its mask is drawn for all ``length``, then indexed.
     """
     if not training or ratio == 0.0:
-        return ad.relu(x)
+        if ad.grad_enabled():
+            return ad.relu(x)
+        np.maximum(x.data, np.float32(0), out=x.data)  # the bits of ad.relu
+        return x
     if rng is None:
         raise ValueError("training-mode dropout needs a seeded generator")
     y = np.maximum(x.data, np.float32(0), order="C")
@@ -561,14 +566,28 @@ def tcn_block(x: Tensor, p: TcnBlockParams, training: bool = False,
     the last, and the block does too: its skip (or projection) reads those
     positions of ``x``, and its second dropout indexes the full-resolution
     mask at ``stride * s``.
+
+    Under ``ad.no_grad`` the block holds only ``x`` and its conv outputs:
+    both relus run in place (see ``relu_dropout``), the skip is the strided
+    view of ``x`` rather than a copy, and the residual sum and its relu
+    overwrite the second conv's output, which the block returns. ``x`` is
+    only read. The result has the bits of the recorded block's.
     """
     s, ratio = p.conv2.stride, p.dropout_ratio
     h = relu_dropout(conv1d_causal(x, p.conv1), ratio, training, rng,
                      length, stride)
     h = relu_dropout(conv1d_causal(h, p.conv2), ratio, training, rng,
                      length, stride * s)
+    first = (x.shape[1] - 1) % s
+    if not ad.grad_enabled():
+        skip = Tensor(x.data[:, first::s])
+        if p.projection is not None:
+            skip = conv1d_causal(skip, p.projection)
+        np.add(h.data, skip.data, out=h.data)
+        np.maximum(h.data, np.float32(0), out=h.data)
+        return h
     if s > 1:
-        x = ad.getitem(x, (slice(None), slice((x.shape[1] - 1) % s, None, s)))
+        x = ad.getitem(x, (slice(None), slice(first, None, s)))
     skip = x if p.projection is None else conv1d_causal(x, p.projection)
     return ad.relu(ad.add(h, skip))
 

@@ -27,13 +27,14 @@ CHECKPOINT_MAGIC = b"TCNB"
 CHECKPOINT_VERSION = 1
 # Records per scoring forward. Each activation of a forward is a
 # [B, L, C] array, 16 MB at B=128, L=1000, 32 channels, while the conv
-# kernels stage only a few records at a time. Against 256, 64 took the
-# benchmark's paper-shape evaluate (128 records) from 88.6 to 65.5 MB
-# peak RSS in 10 of 10 pairs, at 222 against 221 items/s in the median
-# (205 against 211 at another seed; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS
-# 0.3.31). 32 reached 54 MB, but against 64 it lost 6-9% items/s in 2 of
-# 4 pairs and was within 1% in the other two.
-PREDICT_BATCH = 64
+# kernels stage only a few records at a time, and a no-grad forward holds
+# one block's input and conv outputs (``model.tcn_block``). On the
+# benchmark's paper-shape evaluate (128 records), 64 took peak RSS from
+# 88.6 MB at 256 to 65.5 MB. With relus and residual sums in place, 32
+# read 51.7 MB against 61.5 MB at 64 in 10 of 10 pairs, at 308.5 against
+# 311.7 items/s in the median, within the spread of 64's runs (301.8-320.5
+# between quartiles; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
+PREDICT_BATCH = 32
 
 
 class ConfigError(ValueError):
@@ -369,10 +370,12 @@ def ensure_dataset_fits(ckpt: ModelCheckpoint, ds: EncodedDataset) -> None:
 
 
 def build_model(ckpt: ModelCheckpoint) -> TcnModel:
-    """A frozen model over copies of the checkpoint's tensors, which must
-    carry exactly the names and shapes its config builds. The tensors
-    record no gradient: scoring and attribution differentiate inputs only."""
-    params = {name: Tensor(arr.copy()) for name, arr in ckpt.params.items()}
+    """A frozen model over the checkpoint's tensors, which must carry
+    exactly the names and shapes its config builds. Its parameters share
+    the checkpoint's float32 arrays rather than copy them, so a caller
+    holding both holds the weights once. The tensors record no gradient:
+    scoring and attribution differentiate inputs only."""
+    params = {name: Tensor(arr) for name, arr in ckpt.params.items()}
     try:
         return TcnModel(ckpt.config, params)
     except ValueError as exc:

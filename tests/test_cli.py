@@ -304,6 +304,8 @@ def bad_inputs(tmp_path_factory):
     (root / "empty_seqs.tsv").write_text("#labels\tA\n" + "".join(
         f"c:{i}-{i + 1}\t\t{'A' * (i % 2)}\n" for i in range(6)))
     (root / "p.bed").write_text("chr1\t4\t20\n")
+    (root / "bad.bed").write_text("chr1\tx\t20\n")
+    (root / "bad.fa").write_text("ACGT\n>chr1\nACGT\n")
     return root
 
 
@@ -455,6 +457,16 @@ EXIT_CASES = {
                                "--out", "{out}"]),
     "empty_sequences": (2, ["train", "--dataset", "{root}/empty_seqs.tsv",
                             "--out", "{out}"]),
+    # a good training set: the message must say which file is bad
+    "bad_validation_set": (2, ["train", "--dataset", "{root}/ds.tsv",
+                               "--val", "{root}/empty_seqs.tsv",
+                               "--out", "{out}"]),
+    "bad_peak_file": (2, ["build-dataset", "--peaks", "TF0={root}/p.bed",
+                          "--peaks", "TF1={root}/bad.bed", "--genome",
+                          "{root}/g.fa", "--window", "4", "--out", "{out}"]),
+    "bad_genome_file": (2, ["build-dataset", "--peaks", "TF0={root}/p.bed",
+                            "--genome", "{root}/bad.fa", "--window", "4",
+                            "--out", "{out}"]),
     "attribute_without_records": (2, ["attribute", "--dataset",
                                       "{root}/empty.tsv", "--model",
                                       "{root}/m.ckpt", "--out", "{out}"]),
@@ -465,6 +477,12 @@ EXIT_CASES = {
 
 # the file each failure message must name
 NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
+               "empty_sequences": "empty_seqs.tsv: line 2: empty sequence",
+               "bad_validation_set":
+                   "empty_seqs.tsv: line 2: empty sequence",
+               "bad_peak_file": "bad.bed: line 1: non-integer coordinates",
+               "bad_genome_file":
+                   "bad.fa: line 1: sequence before first header",
                "missing_config": "absent.cfg",
                "non_ascii_dataset": "non_ascii.tsv",
                "non_ascii_config": "non_ascii.cfg",

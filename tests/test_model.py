@@ -1077,6 +1077,100 @@ class TestWhatATrainingStepKeeps:
         assert all(ref() is None for ref in refs)
 
 
+class TestScoringInPlace:
+    """Under ``ad.no_grad`` a forward holds the model plus the current
+    layer's input and output: relu and a block's residual sum overwrite the
+    op output they get, with the bits of the recorded ops. A recorded call
+    allocates its outputs as before."""
+
+    @staticmethod
+    def conv_output(seed):
+        p = conv_params(seed, out_ch=4, in_ch=3, k=3)
+        x = np.random.default_rng(seed + 1).uniform(-1, 1, (2, 9, 3))
+        y = conv1d_causal(Tensor(x.astype(np.float32)), p)
+        y.data[0, 0, :2] = 0.0, -0.0  # zero signs must come out the same
+        return y
+
+    # training at ratio 0 is relu alone too
+    @pytest.mark.parametrize("ratio,training", [(0.5, False), (0.0, True)])
+    def test_relu_dropout_overwrites_its_op_output(self, ratio, training):
+        with ad.no_grad():
+            y = self.conv_output(90)
+            want = ad.relu(Tensor(y.data.copy())).data
+            got = tcn_model.relu_dropout(y, ratio, training, None)
+        assert np.shares_memory(got.data, y.data)
+        np.testing.assert_array_equal(got.data.view(np.uint32),
+                                      want.view(np.uint32))
+
+    def test_recorded_relu_dropout_allocates(self):
+        y = self.conv_output(92)
+        assert y.requires_grad and y.node is not None
+        before = y.data.copy()
+        got = tcn_model.relu_dropout(y, 0.5, False, None)
+        assert got.node is not None
+        assert not np.shares_memory(got.data, y.data)
+        np.testing.assert_array_equal(y.data.view(np.uint32),
+                                      before.view(np.uint32))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("in_ch", [4, 3])  # 3: a projection skip
+    def test_tcn_block_sums_into_its_conv_output(self, monkeypatch, stride,
+                                                 in_ch):
+        block = TcnBlockParams(
+            conv_params(94, 4, in_ch, 3),
+            replace(conv_params(95, 4, 4, 3), stride=stride),
+            conv_params(96, 4, in_ch, 1) if in_ch != 4 else None, 0.5)
+        data = np.random.default_rng(97).uniform(
+            -1, 1, (3, 11, in_ch)).astype(np.float32)
+        conv, outputs = tcn_model.conv1d_causal, []
+
+        def spy_conv(x, p):
+            y = conv(x, p)
+            outputs.append(y.data)
+            return y
+        monkeypatch.setattr(tcn_model, "conv1d_causal", spy_conv)
+
+        want = tcn_block(Tensor(data, requires_grad=True), block)
+        assert want.node is not None
+        assert not any(np.shares_memory(want.data, y) for y in outputs)
+        outputs.clear()
+        x = data.copy()
+        with ad.no_grad():
+            got = tcn_block(Tensor(x), block)
+        assert np.shares_memory(got.data, outputs[1])  # conv2's output
+        np.testing.assert_array_equal(got.data.view(np.uint32),
+                                      want.data.view(np.uint32))
+        np.testing.assert_array_equal(x, data)  # the input is only read
+
+    def test_paper_shape_forward_peak(self):
+        # The largest hold of a paper-shape forward is block 0's: its
+        # input, kept for the skip, and its conv1 output, [B, L, C] each,
+        # and its stride-2 conv2 output, half that. The slack covers a
+        # conv's staged chunks, 1.3-2.1 MiB at this shape, which do not
+        # grow with B. Copying each relu's output would add one more
+        # [B, L, C] array, 7.8 MiB here.
+        batch, length, channels = 64, 1000, 32
+        cfg = ModelConfig(input_length=length, num_labels=4)
+        # a one-record forward first: the first call's lazy set-up traces
+        # another 0.7 MiB
+        with ad.no_grad():
+            TcnModel.initialize(cfg, np.random.default_rng(97)).forward(
+                Tensor(np.zeros((1, length, 4), np.float32)))
+        tracemalloc.start()
+        try:
+            model = TcnModel.initialize(cfg, np.random.default_rng(98))
+            x = np.random.default_rng(99).uniform(
+                0, 1, (batch, length, 4)).astype(np.float32)
+            with ad.no_grad():
+                model.forward(Tensor(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activation = batch * length * channels * 4
+        weights = sum(p.data.nbytes for p in model.params.values())
+        assert peak <= weights + x.nbytes + 2.5 * activation + 2.5 * 2 ** 20
+
+
 class TestReluDropoutDraws:
     """Training ``relu_dropout`` draws its masks from the generator's raw
     words, a chunk of records at a time. The masks, and the stream after

@@ -267,6 +267,22 @@ class TestCheckpoints:
             got = build_model(load_checkpoint(path)).forward(probe).data
         assert want.tobytes() == got.tobytes()
 
+    def test_built_model_shares_the_checkpoint_arrays(self, tmp_path):
+        _, ckpt = self.make_checkpoint()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        saved = {name: arr.copy() for name, arr in loaded.params.items()}
+        model = build_model(loaded)
+        for name, arr in loaded.params.items():
+            assert np.shares_memory(model.params[name].data, arr), name
+            assert not model.params[name].requires_grad, name
+        # scoring in place leaves the weights as loaded
+        predict_scores(model, np.random.default_rng(24).uniform(
+            0, 1, (5, 32, 4)).astype(np.float32))
+        for name, arr in loaded.params.items():
+            assert arr.tobytes() == saved[name].tobytes(), name
+
     def test_corrupted_magic(self, tmp_path):
         _, ckpt = self.make_checkpoint()
         path = tmp_path / "m.ckpt"
@@ -359,12 +375,15 @@ class TestCheckpoints:
         assert scores.shape == (8, 2)
         assert ((scores > 0) & (scores < 1)).all()
 
-    @pytest.mark.parametrize("n", [65, 66, 67, 129])
+    # a last row alone, two and three rows past a cut, and a row alone
+    # after two full forwards, of PREDICT_BATCH and of 64 records
+    @pytest.mark.parametrize("n", sorted({
+        *(training.PREDICT_BATCH + i for i in (1, 2, 3)),
+        2 * training.PREDICT_BATCH + 1, 65, 66, 67, 129}))
     def test_scores_keep_the_bits_of_one_forward(self, n):
         # scoring in several forwards gives each record the bits of one
         # N-row forward; at this shape a record alone in a forward, or one
         # at another offset in a shorter one, gets other logit bits
-        assert training.PREDICT_BATCH == 64
         model = small_model(length=64, labels=3, seed=6, cnn_kernels=16,
                             tcn_channels=16, kernel_size=8, mlp_hidden=32)
         x = np.random.default_rng(7).uniform(0, 1, (n, 64, 4)).astype(
