@@ -76,11 +76,20 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
     Per baseline x', attribution_i = (x_i - x'_i) * mean over step midpoints
     of d logit / d x_i along the straight path; the returned map averages
     the baselines and records |sum(map) - mean(F(x) - F(x'))| as the
-    completeness gap. F(x) and every F(x'_b) come from one no-grad forward
-    of 1 + len(baselines) rows; each baseline's path is one forward and
-    backward of ``steps`` rows, which differentiates the input only (the
-    model's parameters are left out of the backward unless they require
-    gradients). Dropout stays off throughout.
+    completeness gap. Dropout stays off throughout.
+
+    The model's stem (``TcnModel.stem``, its first conv before the relu)
+    is linear, so the path runs past it. The stem runs once per map, on
+    the 1 + B rows [x, x'_1..x'_B], and records its input gradient. F(x)
+    and every F(x'_b) come from one no-grad forward of those stem rows.
+    Each baseline's path is one forward and backward of ``steps`` rows
+    from the stem on, at z_b + alpha (z_x - z_b) for the stem rows z_x
+    and z_b, built in float64. The B path-mean gradients at the stem's
+    output then go back through one backward of the stem, which gives
+    each baseline's path-mean input gradient. So a map runs 1 + B rows
+    through the stem and 1 + B + B * steps rows from the stem on. The
+    backwards differentiate the input only (the model's parameters are
+    left out unless they require gradients).
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -97,26 +106,40 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
     if any(base.shape != target.shape for base in bases):
         raise ValueError("baseline shape does not match the input")
 
+    rows = Tensor(np.stack([target, *bases]).astype(np.float32),
+                  requires_grad=True)
+    stem = model.stem(rows)
     with ad.no_grad():
-        ends = model.forward(Tensor(np.stack([target, *bases]).astype(np.float32)))
+        ends = model.forward(stem, from_stem=True)
     deltas = ends.data[0, label_index] - ends.data[1:, label_index]
 
     alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
-    per_baseline_maps = []
-    for base in bases:
-        diff = target - base
-        points = base[None] + alphas[:, None, None] * diff[None]
+    z_x = stem.data[0].astype(np.float64)
+    # row 0, x's own, gets no gradient
+    stem_grads = np.zeros(stem.shape, dtype=np.float32)
+    for b in range(1, len(rows.data)):
+        z_b = stem.data[b].astype(np.float64)
+        points = z_b[None] + alphas[:, None, None] * (z_x - z_b)[None]
         probe = Tensor(points.astype(np.float32), requires_grad=True)
-        logits = model.forward(probe, training=False)
+        logits = model.forward(probe, from_stem=True)
         ad.backward(ad.reduce_sum(ad.getitem(logits, (slice(None), label_index))))
-        mean_grad = probe.grad.astype(np.float64).mean(axis=0)
-        per_baseline_maps.append(diff * mean_grad)
+        stem_grads[b] = probe.grad.astype(np.float64).mean(axis=0)
+    ad.backward(_weighted_sum(stem, stem_grads))
+    per_baseline_maps = [(target - base) * grad
+                         for base, grad in zip(bases, rows.grad[1:])]
 
     scores = np.mean(per_baseline_maps, axis=0)
     gap = abs(float(scores.sum()) - float(np.mean(deltas, dtype=np.float64)))
     return AttributionMap(
         label=label_name if label_name is not None else str(label_index),
         scores=scores, completeness_gap=gap, sample_id=sample_id)
+
+
+def _weighted_sum(t: Tensor, weights: np.ndarray) -> Tensor:
+    """sum(weights * t), whose backward sends ``weights`` to ``t``."""
+    total = np.vdot(t.data.astype(np.float64), weights)
+    return ad.make_op(np.float32(total), "weighted_sum", (t,),
+                      lambda g: (weights * g,))
 
 
 class IgJob(NamedTuple):
@@ -450,10 +473,16 @@ def write_pwms(pwms: Iterable[Pwm], path, header_lines: Iterable[str] = ()) -> N
 def read_pwms(path) -> list[Pwm]:
     """The PWMs of a ``write_pwms`` file: name, matrix, members and
     information bits, each as written. Raises DataError when malformed."""
-    pwms: list[Pwm] = []
     with open_text(path) as fh:
-        lines = [(lineno, raw.rstrip("\n"))
-                 for lineno, raw in enumerate(fh, start=1) if raw.strip()]
+        return _parse_pwms([(lineno, raw.rstrip("\n"))
+                            for lineno, raw in enumerate(fh, start=1)
+                            if raw.strip()])
+
+
+def _parse_pwms(lines: list[tuple[int, str]]) -> list[Pwm]:
+    """The PWMs of a ``write_pwms`` file's non-blank (line number, text)
+    lines."""
+    pwms: list[Pwm] = []
     pos = 0
     while pos < len(lines) and lines[pos][1].startswith("#"):
         pos += 1  # provenance header

@@ -503,5 +503,5 @@ def load_dataset(path) -> EncodedDataset:
             rows.append([name in active for name in label_names])
         if label_names is None:
             raise DataError("dataset file has no #labels header")
-    labels = np.array(rows, np.uint8).reshape(len(rows), len(label_names))
-    return EncodedDataset(label_names, sequences, labels, origins)
+        labels = np.array(rows, np.uint8).reshape(len(rows), len(label_names))
+        return EncodedDataset(label_names, sequences, labels, origins)

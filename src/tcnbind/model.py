@@ -680,10 +680,43 @@ class TcnModel:
                 "distant positions cannot reach the classifier", rf, config.input_length)
         return model
 
+    def _conv(self, name: str, dilation: int = 1,
+              stride: int = 1) -> Conv1dParams:
+        return Conv1dParams(self.params[f"{name}.weight"],
+                            self.params[f"{name}.bias"], dilation, stride)
+
+    def _check_input(self, x: Tensor, channels: int) -> None:
+        length = self.config.input_length
+        if x.shape[1:] != (length, channels):
+            raise ValueError(
+                f"expected input [B, {length}, {channels}], got {x.shape}")
+
+    def stem(self, x: Tensor) -> Tensor:
+        """The pre-activation output of ``cnn.0`` on one-hot input
+        [B, L, 4], [B, L, cnn_kernels]; ``x`` itself when the model has no
+        CNN layer.
+
+        The stem is the linear first step of ``forward``: ``forward(x)``
+        is ``forward(stem(x), from_stem=True)``, bit for bit. So along a
+        straight path from x' to x its outputs lie on the line from
+        stem(x') to stem(x), and the input gradient is the stem's transpose
+        applied to the gradient at its output.
+        """
+        self._check_input(x, len(BASES))
+        if not self.config.cnn_layers:
+            return x
+        return conv1d_causal(x, self._conv("cnn.0"))
+
     def forward(self, x: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None,
-                capture: Optional[dict] = None) -> Tensor:
+                capture: Optional[dict] = None,
+                from_stem: bool = False) -> Tensor:
         """Map one-hot input [B, L, 4] to logits [B, k].
+
+        With ``from_stem``, ``x`` is a ``stem`` output, and the forward
+        starts after the stem's conv. It never writes into ``x``'s array,
+        which the first relu would overwrite under ``ad.no_grad``, so a
+        stem output can feed several forwards.
 
         With the ``last`` readout and no ``capture``, the blocks run on the
         decimated grids of the module docstring. The logits are those of
@@ -694,18 +727,13 @@ class TcnModel:
         full-resolution view the causality checks read.
         """
         cfg, params = self.config, self.params
-        if x.shape[1:] != (cfg.input_length, len(BASES)):
-            raise ValueError(
-                f"expected input [B, {cfg.input_length}, {len(BASES)}], "
-                f"got {x.shape}")
+        stemmed = from_stem and cfg.cnn_layers > 0
+        self._check_input(x, cfg.cnn_kernels if stemmed else len(BASES))
         decimate = cfg.classifier_input == "last" and capture is None
 
-        def conv(name, dilation=1, stride=1):
-            return Conv1dParams(params[f"{name}.weight"],
-                                params[f"{name}.bias"], dilation, stride)
-        cnn = [conv(f"cnn.{i}") for i in range(cfg.cnn_layers)]
         # block b at dilation 2^b, or on its decimated grid at dilation 1
         # with conv2 at stride 2
+        conv = self._conv
         blocks = [TcnBlockParams(
             conv(f"tcn.{b}.conv1", 1 if decimate else 2 ** b),
             conv(f"tcn.{b}.conv2", 1 if decimate else 2 ** b,
@@ -714,9 +742,13 @@ class TcnModel:
             if f"tcn.{b}.projection.weight" in params else None,
             cfg.dropout) for b in range(cfg.tcn_blocks)]
 
-        h = x
-        for i, layer in enumerate(cnn):
-            h = relu_dropout(conv1d_causal(h, layer), cfg.dropout, training, rng)
+        h = x if from_stem else self.stem(x)
+        if stemmed and not ad.grad_enabled():
+            h = Tensor(h.data.copy())  # the relu below runs in place
+        for i in range(cfg.cnn_layers):
+            if i:
+                h = conv1d_causal(h, conv(f"cnn.{i}"))
+            h = relu_dropout(h, cfg.dropout, training, rng)
             if capture is not None:
                 capture[f"cnn.{i}"] = h.data.copy()
         length, stride = h.shape[1], 1

@@ -197,6 +197,10 @@ class LinearProbe:
         self.w = Tensor(np.asarray(weights, dtype=np.float32))
         self.config = SimpleNamespace(num_labels=num_labels)
 
-    def forward(self, x: Tensor, training: bool = False, rng=None):
+    def stem(self, x: Tensor) -> Tensor:
+        return x  # the identity stem of a model without a CNN layer
+
+    def forward(self, x: Tensor, training: bool = False, rng=None,
+                from_stem: bool = False):
         total = ad.reduce_sum(mul_const(x, self.w), axes=(1, 2))
         return ad.getitem(total, (slice(None), None))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from conftest import (LinearProbe, label_names, sample_ids,
                       stdout_on_blas_threads, tiny_config)
 
 from tcnbind import autodiff as ad
+from tcnbind import model as tcn_model
 from tcnbind.autodiff import Tensor
 from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
                                  actual_base_scores, cluster_and_build_pwm,
@@ -121,6 +124,89 @@ class TestIntegratedGradients:
                                    [self.baseline, self.baseline], steps=9,
                                    label_name="MYC", sample_id="s0")
         assert (out.label, out.sample_id) == ("MYC", "s0")
+
+
+def input_space_map(model, x, label_index, baselines, steps):
+    """The IG map and completeness gap with every path point pushed
+    through the whole model, the stem too: per baseline, one forward and
+    backward of ``steps`` interpolated one-hot rows."""
+    target = np.asarray(x, dtype=np.float64)
+    alphas = (np.arange(steps, dtype=np.float64) + 0.5) / steps
+    maps = []
+    for base in baselines:
+        diff = target - base
+        probe = Tensor((base[None] + alphas[:, None, None] * diff[None])
+                       .astype(np.float32), requires_grad=True)
+        logits = model.forward(probe)
+        ad.backward(ad.reduce_sum(ad.getitem(logits, (slice(None),
+                                                      label_index))))
+        maps.append(diff * probe.grad.astype(np.float64).mean(axis=0))
+    with ad.no_grad():
+        ends = model.forward(Tensor(np.stack([target, *baselines])
+                                    .astype(np.float32))).data[:, label_index]
+    scores = np.mean(maps, axis=0)
+    return scores, abs(scores.sum() - np.mean(ends[0] - ends[1:],
+                                              dtype=np.float64))
+
+
+class TestIgPastTheStem:
+    """IG's path runs from the stem's output on (cnn.0 before its relu,
+    linear, or the identity without a CNN layer) and maps back through the
+    stem's transpose once. The map is the input-space one but for float32
+    rounding: the path mean is taken at the stem's output, and a relu whose
+    input lies within rounding of 0 may switch."""
+
+    @pytest.mark.parametrize("readout", ["last", "mean"])
+    @pytest.mark.parametrize("k", [8, 32])
+    @pytest.mark.parametrize("cnn_layers", [0, 1, 2])
+    def test_map_matches_the_input_space_map(self, cnn_layers, k, readout):
+        assert 8 < tcn_model._TOEPLITZ_FORWARD_MIN_K <= 32
+        config = tiny_config(input_length=48, num_labels=2,
+                             cnn_layers=cnn_layers, kernel_size=k,
+                             classifier_input=readout)
+        model = build_model(ModelCheckpoint(
+            config, ["A", "B"], TcnModel.initialize(
+                config, np.random.default_rng(20 + k)).parameter_arrays()))
+        rng = np.random.default_rng(cnn_layers)
+        seq = "".join(rng.choice(list("ACGT"), 48))
+        baselines = make_shuffled_baselines(seq, 3, rng)
+        out = integrated_gradients(model, one_hot(seq), 1, baselines, steps=6)
+        scores, gap = input_space_map(model, one_hot(seq), 1, baselines, 6)
+        # float32 rounding of the path mean and of the stem's transpose is
+        # ~1e-7 of the largest score; these seeded maps switch no relu
+        scale = np.abs(scores).max()
+        assert scale > 0
+        np.testing.assert_allclose(out.scores, scores, rtol=0,
+                                   atol=1e-5 * scale)
+        assert abs(out.completeness_gap - gap) <= 1e-6 * np.abs(scores).sum()
+
+    def test_one_stem_conv_per_map(self, monkeypatch):
+        config = tiny_config(input_length=32, num_labels=1, cnn_layers=2)
+        model = build_model(ModelCheckpoint(
+            config, ["A"], TcnModel.initialize(
+                config, np.random.default_rng(3)).parameter_arrays()))
+        names = {id(p): name[:-len(".weight")]
+                 for name, p in model.params.items()}
+        calls = []  # (layer, rows) per conv
+        conv = tcn_model.conv1d_causal
+
+        def spying(x, p):
+            calls.append((names[id(p.weights)], x.shape[0]))
+            return conv(x, p)
+        monkeypatch.setattr(tcn_model, "conv1d_causal", spying)
+        seq = "ACGGTCAT" * 4
+        for _ in range(2):
+            integrated_gradients(model, one_hot(seq), 0,
+                                 make_shuffled_baselines(
+                                     seq, 3, np.random.default_rng(4)),
+                                 steps=5)
+        # per map: the stem on [x, x'_1..x'_3] once; every later conv on
+        # those 4 rows for the endpoints, then on 5 path points per baseline
+        stems = [rows for layer, rows in calls if layer == "cnn.0"]
+        assert stems == [4, 4]
+        counts = Counter(calls)
+        assert counts[("cnn.1", 4)] == 2 and counts[("cnn.1", 5)] == 6
+        assert len(calls) == 2 * (1 + 4 * 5)
 
 
 # One IG map (3 baselines x 4 steps) from a frozen model of the benchmark's

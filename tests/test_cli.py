@@ -303,6 +303,8 @@ def bad_inputs(tmp_path_factory):
     # enough records that the held-out split leaves both parts non-empty
     (root / "empty_seqs.tsv").write_text("#labels\tA\n" + "".join(
         f"c:{i}-{i + 1}\t\t{'A' * (i % 2)}\n" for i in range(6)))
+    (root / "bad.tsv").write_text(
+        "#labels\tTF0\nc:0-4\tACGT\tTF0\nc:4-7\tACG\tTF0\n")
     (root / "p.bed").write_text("chr1\t4\t20\n")
     (root / "bad.bed").write_text("chr1\tx\t20\n")
     (root / "bad.fa").write_text("ACGT\n>chr1\nACGT\n")
@@ -461,6 +463,10 @@ EXIT_CASES = {
     "bad_validation_set": (2, ["train", "--dataset", "{root}/ds.tsv",
                                "--val", "{root}/empty_seqs.tsv",
                                "--out", "{out}"]),
+    # records of 4 and 3 bases: only the whole file is bad
+    "mixed_length_validation_set": (2, ["train", "--dataset", "{root}/ds.tsv",
+                                        "--val", "{root}/bad.tsv",
+                                        "--out", "{out}"]),
     "bad_peak_file": (2, ["build-dataset", "--peaks", "TF0={root}/p.bed",
                           "--peaks", "TF1={root}/bad.bed", "--genome",
                           "{root}/g.fa", "--window", "4", "--out", "{out}"]),
@@ -480,6 +486,8 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                "empty_sequences": "empty_seqs.tsv: line 2: empty sequence",
                "bad_validation_set":
                    "empty_seqs.tsv: line 2: empty sequence",
+               "mixed_length_validation_set":
+                   "bad.tsv: sequences must share one length",
                "bad_peak_file": "bad.bed: line 1: non-integer coordinates",
                "bad_genome_file":
                    "bad.fa: line 1: sequence before first header",

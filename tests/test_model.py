@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 import weakref
@@ -496,9 +497,10 @@ class TestConvCensus:
                                             np.random.default_rng(3))
         integrated_gradients(build_model(ckpt), one_hot(ds.sequences[0]), 0,
                              baselines, steps=3)
-        # one no-grad forward of F(x) and F(x'_b); one path forward per
-        # baseline, which records dx
-        assert census == {True: 10, False: 5}
+        # one recorded stem (cnn.0) of x and x'_b, for its dx; one no-grad
+        # forward of F(x) and F(x'_b) from the stem on; one path forward
+        # per baseline from the stem on, which records dx
+        assert census == {True: 9, False: 4}
 
 
 class TestNarrowInputGradient:
@@ -670,6 +672,39 @@ x = np.random.default_rng(2).uniform(0, 1, (16, 1000, 4)).astype(np.float32)
 with ad.no_grad():
     print(model.forward(Tensor(x)).data.tobytes().hex())
 """
+
+
+class TestStem:
+    """``forward(stem(x), from_stem=True)`` is ``forward(x)``: the stem is
+    cnn.0's conv before its relu, or the identity without a CNN layer."""
+
+    @pytest.mark.parametrize("grad", [True, False])
+    @pytest.mark.parametrize("readout", ["last", "mean"])
+    @pytest.mark.parametrize("cnn_layers", [0, 1, 2])
+    def test_forward_from_the_stem_keeps_the_bits(self, cnn_layers, readout,
+                                                  grad):
+        cfg = tiny_config(input_length=40, cnn_layers=cnn_layers,
+                          kernel_size=5, classifier_input=readout)
+        model = TcnModel.initialize(cfg, np.random.default_rng(11))
+        x = np.random.default_rng(12).uniform(0, 1, (5, 40, 4)).astype(
+            np.float32)
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            direct = model.forward(Tensor(x)).data
+            stem = model.stem(Tensor(x))
+            before = stem.data.copy()
+            twice = [model.forward(stem, from_stem=True).data
+                     for _ in range(2)]
+        assert stem.shape == (5, 40, 8 if cnn_layers else 4)
+        np.testing.assert_array_equal(stem.data, before)
+        for logits in twice:
+            np.testing.assert_array_equal(logits, direct)
+
+    def test_stem_input_width_is_checked(self, tiny_model):
+        onehot = Tensor(np.zeros((1, 32, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"\[B, 32, 8\]"):
+            tiny_model.forward(onehot, from_stem=True)
+        with pytest.raises(ValueError, match=r"\[B, 32, 4\]"):
+            tiny_model.stem(Tensor(np.zeros((1, 32, 8), dtype=np.float32)))
 
 
 class TestBlasThreadCount:

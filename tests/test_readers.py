@@ -1,6 +1,6 @@
 """Every reader of a file the tool writes either loads a mutated copy of
-that file or raises DataError: never another exception, which the CLI
-would report as a traceback."""
+that file or raises DataError naming the file: never another exception,
+which the CLI would report as a traceback."""
 
 import numpy as np
 import pytest
@@ -85,5 +85,5 @@ def test_a_mutated_file_loads_or_is_a_data_error(written, reader, edits):
     path.write_bytes(blob)
     try:
         READERS[reader](path)
-    except DataError:
-        pass
+    except DataError as exc:
+        assert str(path) in str(exc)
