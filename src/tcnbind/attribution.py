@@ -143,9 +143,11 @@ def _weighted_sum(t: Tensor, weights: np.ndarray) -> Tensor:
 
 
 class IgJob(NamedTuple):
-    """One Integrated Gradients map to compute, its baselines already drawn."""
+    """One Integrated Gradients map to compute: the [L, 4] one-hot input,
+    encoded once and shared by every job on the same sequence, and its
+    baselines, already drawn."""
 
-    sequence: str
+    x: np.ndarray
     label_index: int
     label_name: str
     baselines: list[np.ndarray]
@@ -157,8 +159,9 @@ def run_ig_jobs(model: TcnModel, jobs: Sequence[IgJob], steps: int,
     """Integrated Gradients for each job, in job order, on ``threads``
     worker threads when more than one.
 
-    Every random draw is in the jobs already, so the maps depend only on
-    the jobs, never on ``threads`` or on scheduling.
+    Every input and every random draw is in the jobs already, so nothing
+    is encoded here, and the maps depend only on the jobs, never on
+    ``threads`` or on scheduling.
     """
     # numpy's error state is per thread, and a worker starts at the default
     errors = np.geterr()
@@ -166,7 +169,7 @@ def run_ig_jobs(model: TcnModel, jobs: Sequence[IgJob], steps: int,
     def run(job: IgJob) -> AttributionMap:
         with np.errstate(**errors):
             return integrated_gradients(
-                model, one_hot(job.sequence), job.label_index, job.baselines,
+                model, job.x, job.label_index, job.baselines,
                 steps=steps, label_name=job.label_name,
                 sample_id=job.sample_id)
 
@@ -182,15 +185,15 @@ def attribute_dataset(model: TcnModel, ds: EncodedDataset,
                       max_samples: int = 10,
                       threads: int = 1) -> list[AttributionMap]:
     """One map per (sample, label) over the first ``max_samples``
-    sequences; each sequence's shuffled baselines are drawn in sample
-    order and shared by its labels."""
+    sequences; each sequence is encoded once, and its shuffled baselines
+    are drawn in sample order, both shared by its labels."""
     if len(ds) == 0:
         raise DataError("the dataset holds no records to attribute")
     jobs = []
     for i in range(min(max_samples, len(ds))):
         seq = ds.sequences[i]
-        drawn = make_shuffled_baselines(seq, baselines, rng)
-        jobs += [IgJob(seq, t, ds.label_names[t], drawn, f"{ds.origins[i]}#{i}")
+        x, drawn = one_hot(seq), make_shuffled_baselines(seq, baselines, rng)
+        jobs += [IgJob(x, t, ds.label_names[t], drawn, f"{ds.origins[i]}#{i}")
                  for t in label_indices]
     return run_ig_jobs(model, jobs, steps, threads)
 
@@ -204,7 +207,9 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
     null, seqlet extraction, then clustering into PWMs.
 
     Draws from ``rng`` in a fixed order before any IG runs: the null
-    shuffles, then the real sequences' baselines, then the nulls'.
+    shuffles, then the real sequences' baselines, then the nulls'. Each
+    sequence is encoded once; IG, the actual-base tracks and the PWMs all
+    read that one-hot array.
     """
     label = ds.label_names[label_index]
     positives = np.flatnonzero(ds.labels[:, label_index] == 1)[:max_seqs]
@@ -217,10 +222,10 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
     real_seqs = [ds.sequences[i] for i in positives]
     null_seqs = [dinucleotide_shuffle(ds.sequences[i], rng)
                  for i in positives[:null_count]]
-    jobs = [IgJob(seq, label_index, label,
+    jobs = [IgJob(one_hot(seq), label_index, label,
                   make_shuffled_baselines(seq, baselines, rng))
             for seq in real_seqs + null_seqs]
-    tracks = [actual_base_scores(m, one_hot(job.sequence))
+    tracks = [actual_base_scores(m, job.x)
               for m, job in zip(run_ig_jobs(model, jobs, steps, threads), jobs)]
 
     null_tracks = tracks[len(real_seqs):]
@@ -230,7 +235,8 @@ def extract_label_motifs(model: TcnModel, ds: EncodedDataset,
             "label %r yields no seqlet, so no PWM: no window beats the null "
             "threshold %.4g of %d shuffled sequences (null_count %d)", label,
             _null_threshold(null_tracks, window), len(null_tracks), null_count)
-    pwms = cluster_and_build_pwm(seqlets, [one_hot(s) for s in real_seqs])
+    pwms = cluster_and_build_pwm(seqlets,
+                                 [job.x for job in jobs[:len(real_seqs)]])
     for pwm in pwms:
         pwm.name = f"{label}.{pwm.name}"
     return pwms
@@ -318,34 +324,27 @@ def cluster_and_build_pwm(seqlets: Sequence[Seqlet],
     aligned one-hot rows weighted by |attribution|."""
     if not seqlets:
         return []
-    windows = []
-    for s in seqlets:
-        window = np.asarray(onehots[s.sample_index][s.start:s.start + s.length],
-                            dtype=np.float64)
-        windows.append(window)
-
-    order = sorted(range(len(seqlets)), key=lambda i: -seqlets[i].weight)
     width = seqlets[0].length
     max_shift = width // 2
-    clusters: list[dict] = []
-    for i in order:
-        window, weight = windows[i], seqlets[i].weight
-        placed = False
-        for cluster in clusters:
-            corr, shift, flipped = _best_alignment(cluster["seed"], window, max_shift)
+    # (window, weight) by descending weight; sorted is stable on ties
+    ranked = [(np.asarray(onehots[s.sample_index][s.start:s.start + s.length],
+                          dtype=np.float64), s.weight)
+              for s in sorted(seqlets, key=lambda s: -s.weight)]
+    clusters: list[tuple[np.ndarray, list]] = []  # (seed window, members)
+    for window, weight in ranked:
+        for seed, members in clusters:
+            corr, shift, flipped = _best_alignment(seed, window, max_shift)
             if corr > CORRELATION_CUTOFF:
-                cluster["members"].append((window, weight, shift, flipped))
-                placed = True
+                members.append((window, weight, shift, flipped))
                 break
-        if not placed:
-            clusters.append({"seed": window,
-                             "members": [(window, weight, 0, False)]})
+        else:
+            clusters.append((window, [(window, weight, 0, False)]))
 
     pwms = []
-    for rank, cluster in enumerate(clusters):
+    for rank, (_, members) in enumerate(clusters):
         acc = np.zeros((width, 4))
         mass = np.zeros(width)
-        for window, weight, shift, flipped in cluster["members"]:
+        for window, weight, shift, flipped in members:
             aligned = _revcomp_onehot(window) if flipped else window
             lo = max(0, shift)
             hi = min(width, width + shift)
@@ -358,7 +357,7 @@ def cluster_and_build_pwm(seqlets: Sequence[Seqlet],
         matrix = np.divide(matrix, row_sums, out=np.full_like(matrix, 0.25),
                            where=row_sums > 0)
         info = information_content(matrix)
-        pwms.append(Pwm(matrix, info, len(cluster["members"]), name=f"cluster{rank}"))
+        pwms.append(Pwm(matrix, info, len(members), name=f"cluster{rank}"))
     pwms.sort(key=lambda p: -p.members)
     return pwms
 
@@ -409,45 +408,31 @@ def write_attribution_maps(maps: Iterable[AttributionMap], path,
 def read_attribution_maps(path) -> list[AttributionMap]:
     """The maps of a ``write_attribution_maps`` file, each as written.
     Raises DataError when malformed."""
-    maps: list[AttributionMap] = []
-    rows: list[list[float]] = []
-    head: Optional[tuple[str, str, float]] = None
-
-    def reals(lineno, fields):
-        try:
-            return [float(v) for v in fields]
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-
-    def flush():
-        if head is None:
-            return
-        sample_id, label, gap = head
-        maps.append(AttributionMap(label=label,
-                                   scores=np.array(rows).reshape(len(rows), 4),
-                                   completeness_gap=gap, sample_id=sample_id))
-
+    blocks: list[tuple[str, str, float, list[list[float]]]] = []
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
-            if line.startswith(">"):
-                flush()
-                parts = line[1:].rsplit(maxsplit=2)
-                if len(parts) != 3:
-                    raise DataError(f"line {lineno}: malformed block header")
-                head = (parts[0], parts[1], reals(lineno, parts[2:])[0])
-                rows = []
-            else:
-                if head is None:
-                    raise DataError(f"line {lineno}: scores before a header")
-                values = line.split("\t")
-                if len(values) != 4:
-                    raise DataError(f"line {lineno}: expected 4 columns")
-                rows.append(reals(lineno, values))
-    flush()
-    return maps
+            try:
+                if line.startswith(">"):
+                    parts = line[1:].rsplit(maxsplit=2)
+                    if len(parts) != 3:
+                        raise ValueError("malformed block header")
+                    blocks.append((parts[0], parts[1], float(parts[2]), []))
+                elif not blocks:
+                    raise ValueError("scores before a header")
+                else:
+                    values = line.split("\t")
+                    if len(values) != 4:
+                        raise ValueError("expected 4 columns")
+                    blocks[-1][3].append([float(v) for v in values])
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+    return [AttributionMap(label=label,
+                           scores=np.array(rows).reshape(len(rows), 4),
+                           completeness_gap=gap, sample_id=sample_id)
+            for sample_id, label, gap, rows in blocks]
 
 
 def write_pwms(pwms: Iterable[Pwm], path, header_lines: Iterable[str] = ()) -> None:

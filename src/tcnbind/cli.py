@@ -5,7 +5,9 @@ only parses flags, reads and writes files and maps errors to exit codes.
 Exit codes; every failure ends with a one-line message on stderr:
   0  success;
   1  usage error: an unknown or malformed flag, a flag value out of range,
-     or a --config/--set key or value that the configuration rejects;
+     a repeated --peaks or --motif label, --labels given with --motif, a
+     --config/--set key or value that the configuration rejects, or a key
+     set twice in one --config file;
   2  data error: an input file that is missing, unreadable, not ASCII text
      (checkpoints: not UTF-8) or malformed, inputs that disagree with each
      other (label registries, or sequence lengths: a dataset against its
@@ -92,11 +94,11 @@ def _open_unit_float(text: str) -> float:
 
 def load_run_config(path: str | None, overrides: list[str]) -> dict:
     """Flat key=value configuration; file first, then flag overrides.
-    Unknown keys are rejected."""
+    Unknown keys, and a key set twice in the file, are rejected."""
     known = _MODEL_KEYS | _TRAIN_KEYS
     resolved: dict = {}
 
-    def absorb(text: str, origin: str):
+    def absorb(text: str, origin: str) -> str:
         if "=" not in text:
             raise UsageError(f"{origin}: expected key=value, got {text!r}")
         key, value = (part.strip() for part in text.split("=", 1))
@@ -107,14 +109,20 @@ def load_run_config(path: str | None, overrides: list[str]) -> dict:
             resolved[key] = parse_field(owner, key, value)
         except ValueError as exc:
             raise UsageError(f"{origin}: bad value: {exc}") from None
+        return key
 
     if path:
+        first_lines: dict[str, int] = {}
         with dat.open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                absorb(line, f"{path}:{lineno}")
+                key = absorb(line, f"{path}:{lineno}")
+                if key in first_lines:
+                    raise UsageError(f"{path}:{lineno}: configuration key "
+                                     f"{key!r} repeats line {first_lines[key]}")
+                first_lines[key] = lineno
     for item in overrides or []:
         absorb(item, "--set")
     return resolved
@@ -173,6 +181,8 @@ def cmd_synth(args) -> int:
         motifs = {}
         for spec in args.motif:
             name, consensus = _split_spec(spec, "--motif", "NAME=CONSENSUS")
+            if name in motifs:
+                raise UsageError(f"duplicate motif label {name!r}")
             motifs[name] = consensus.upper()
     else:
         if args.labels > len(DEFAULT_MOTIFS):
@@ -333,12 +343,16 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("synth", help="generate a planted-motif dataset")
-    p.add_argument("--labels", type=_positive_int, default=4)
+    planted = p.add_mutually_exclusive_group()
+    # a str default, converted by the type only when the flag is absent: an
+    # int one would let "--labels 4 --motif ..." pass, since argparse counts
+    # a flag as given only when its value is not its default
+    planted.add_argument("--labels", type=_positive_int, default="4")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--length", type=_positive_int, required=True)
     p.add_argument("--noise", type=_unit_float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--motif", action="append", metavar="NAME=CONSENSUS")
+    planted.add_argument("--motif", action="append", metavar="NAME=CONSENSUS")
     p.add_argument("--marginal", action="append", metavar="NAME=P")
     p.add_argument("--co-occur", dest="co_occur", action="append",
                    metavar="A,B=P")

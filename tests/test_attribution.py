@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from conftest import (LinearProbe, label_names, sample_ids,
                       stdout_on_blas_threads, tiny_config)
 
+from tcnbind import attribution
 from tcnbind import autodiff as ad
 from tcnbind import model as tcn_model
 from tcnbind.autodiff import Tensor
 from tcnbind.attribution import (AttributionMap, Pwm, Seqlet,
-                                 actual_base_scores, cluster_and_build_pwm,
+                                 actual_base_scores, attribute_dataset,
+                                 cluster_and_build_pwm,
                                  extract_label_motifs, extract_seqlets,
                                  information_content,
                                  integrated_gradients, make_shuffled_baselines,
@@ -337,6 +339,43 @@ class TestExtractLabelMotifs:
         assert "null_count 3" in record.message
 
 
+class TestOneHotPerSequence:
+    """Each sequence, and each of its baselines, is one-hot encoded once:
+    its IG jobs, actual-base track and seqlet windows share the array."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+
+        def counting(sequence):
+            calls.append(sequence)
+            return one_hot(sequence)
+        monkeypatch.setattr(attribution, "one_hot", counting)
+        return calls
+
+    def test_motifs_encode_each_positive_and_null_once(self, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(5, 12, {"TF0": "CACGTG"},
+                                              marginals={"TF0": 1.0}),
+                                np.random.default_rng(0))
+        probe = LinearProbe(np.random.default_rng(1).uniform(-1, 1, (12, 4)))
+        calls = self.spy(monkeypatch)
+        extract_label_motifs(probe, ds, 0, np.random.default_rng(2), steps=2,
+                             baselines=2, null_count=3, window=5)
+        assert len(calls) == (5 + 3) * (1 + 2)
+
+    def test_attribute_encodes_each_sample_once(self, monkeypatch):
+        config = tiny_config(input_length=12, num_labels=2)
+        model = TcnModel.initialize(config, np.random.default_rng(1))
+        ds = generate_synthetic(SyntheticSpec(6, 12, {"A": "CACGTG",
+                                                      "B": "TGACTCA"}),
+                                np.random.default_rng(0))
+        calls = self.spy(monkeypatch)
+        maps = attribute_dataset(model, ds, [0, 1], np.random.default_rng(2),
+                                 steps=2, baselines=2, max_samples=4)
+        assert len(maps) == 4 * 2
+        assert len(calls) == 4 * (1 + 2)
+
+
 class TestClusterAndPwm:
     def seqlet_at(self, sample, start, scores):
         return Seqlet(sample, start, len(scores), np.asarray(scores, float))
@@ -475,16 +514,18 @@ class TestFileFormats:
         with pytest.raises(DataError):
             read_pwms(path)
 
-    @pytest.mark.parametrize("text", [
-        ">s0 TF0 abc\n0\t0\t0\t0\n", ">s0 TF0 0.5\n0\t0\tx\t0\n",
-        ">s0 TF0\n", "0\t0\t0\t0\n", ">s0 TF0 0.5\n0\t0\t0\n",
-        ">s0 TF0 0.5\n0\t0\t0\t\u00b5\n"],
+    # each line-level message names its line; a decoding error names none
+    @pytest.mark.parametrize("text, where", [
+        (">s0 TF0 abc\n0\t0\t0\t0\n", "line 1:"),
+        (">s0 TF0 0.5\n0\t0\tx\t0\n", "line 2:"), (">s0 TF0\n", "line 1:"),
+        ("0\t0\t0\t0\n", "line 1:"), (">s0 TF0 0.5\n0\t0\t0\n", "line 2:"),
+        (">s0 TF0 0.5\n0\t0\t0\t\u00b5\n", "not ascii text")],
         ids=["gap_not_a_number", "score_not_a_number", "short_header",
              "scores_before_header", "short_row", "non_ascii"])
-    def test_malformed_maps_are_data_errors(self, tmp_path, text):
+    def test_malformed_maps_are_data_errors(self, tmp_path, text, where):
         path = tmp_path / "attr.txt"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=where):
             read_attribution_maps(path)
 
     def test_pwm_output_format(self, tmp_path):

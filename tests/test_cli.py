@@ -299,6 +299,7 @@ def bad_inputs(tmp_path_factory):
     (root / "non_ascii.tsv").write_bytes(
         (root / "ds.tsv").read_bytes() + "# caf\u00e9\n".encode())
     (root / "non_ascii.cfg").write_bytes("dropout = 0.0  # \u00e9\n".encode())
+    (root / "repeated.cfg").write_text("kernel_size=6\n# comment\nkernel_size=5\n")
     (root / "g.fa").write_text(">chr1\nACGTACGTACGTACGTACGTACGT\n")
     # enough records that the held-out split leaves both parts non-empty
     (root / "empty_seqs.tsv").write_text("#labels\tA\n" + "".join(
@@ -316,6 +317,19 @@ EXIT_CASES = {
                                    "--marginal", "TF0", "--out", "{out}"]),
     "co_occur_without_pair": (1, ["synth", "--n", "4", "--length", "10",
                                   "--co-occur", "TF0=0.5", "--out", "{out}"]),
+    "repeated_motif_label": (1, ["synth", "--n", "4", "--length", "10",
+                                 "--motif", "A=ACGT", "--motif", "A=CCCC",
+                                 "--out", "{out}"]),
+    "labels_with_motif": (1, ["synth", "--n", "4", "--length", "10",
+                              "--labels", "3", "--motif", "A=ACGT",
+                              "--out", "{out}"]),
+    # the value --labels takes by default, given: still both flags
+    "default_labels_with_motif": (1, ["synth", "--n", "4", "--length", "10",
+                                      "--motif", "A=ACGT", "--labels", "4",
+                                      "--out", "{out}"]),
+    "config_repeated_key": (1, ["train", "--dataset", "{root}/ds.tsv",
+                                "--config", "{root}/repeated.cfg",
+                                "--out", "{out}"]),
     "zero_kernel_size": (1, ["train", "--dataset", "{root}/ds.tsv",
                              "--set", "kernel_size=0", "--out", "{out}"]),
     "alphabet_size": (1, ["train", "--dataset", "{root}/ds.tsv",
@@ -492,6 +506,12 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                "bad_genome_file":
                    "bad.fa: line 1: sequence before first header",
                "missing_config": "absent.cfg",
+               "repeated_motif_label": "duplicate motif label 'A'",
+               "labels_with_motif": "not allowed with argument --labels",
+               "default_labels_with_motif":
+                   "not allowed with argument --motif",
+               "config_repeated_key": "repeated.cfg:3: configuration key "
+                                      "'kernel_size' repeats line 1",
                "non_ascii_dataset": "non_ascii.tsv",
                "non_ascii_config": "non_ascii.cfg",
                "non_utf8_model": "non_utf8.ckpt",
