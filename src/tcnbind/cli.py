@@ -5,9 +5,12 @@ only parses flags, reads and writes files and maps errors to exit codes.
 Exit codes; every failure ends with a one-line message on stderr:
   0  success;
   1  usage error: an unknown or malformed flag, a flag value out of range,
-     a repeated --peaks or --motif label, --labels given with --motif, a
-     --config/--set key or value that the configuration rejects, or a key
-     set twice in one --config file;
+     a NAME given twice in --peaks, --motif, --marginal or --co-occur,
+     --labels given with --motif, synth flags the generator rejects (a
+     marginal for an unknown label, a co-occurrence pair given in both
+     orders, a motif off A/C/G/T or longer than --length), a --config/--set
+     key or value that the configuration rejects, or a key set twice in
+     one --config file or in --set;
   2  data error: an input file that is missing, unreadable, not ASCII text
      (checkpoints: not UTF-8) or malformed, inputs that disagree with each
      other (label registries, or sequence lengths: a dataset against its
@@ -24,9 +27,9 @@ Exit codes; every failure ends with a one-line message on stderr:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -34,15 +37,11 @@ from . import attribution as attr
 from . import data as dat
 from . import metrics as met
 from . import training as trn
-from .model import ModelConfig, parse_field
 
 logger = logging.getLogger("tcnbind")
 
 DEFAULT_MOTIFS = ("CACGTG", "TTTCGCGC", "TGACTCA", "GGGCGG",
                   "TGACGTCA", "CAGCTG", "TTGACA", "GGGACTTTCC")
-
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
-_TRAIN_KEYS = {f.name for f in fields(trn.TrainConfig)}
 
 
 class UsageError(Exception):
@@ -74,76 +73,41 @@ def _seed(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _unit_float(text: str, closed: bool = True) -> float:
-    """argparse type of a probability, which must lie in [0, 1], or with
-    ``closed`` false of a fraction or threshold, which must lie in (0, 1)."""
+def _open_unit_float(text: str) -> float:
+    """argparse type of a fraction or threshold, which must lie in (0, 1)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     # both comparisons are false for NaN
-    if not (0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0):
-        interval = "[0, 1]" if closed else "(0, 1)"
-        raise argparse.ArgumentTypeError(f"must lie in {interval}, got {text}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
-
-
-def _open_unit_float(text: str) -> float:
-    return _unit_float(text, closed=False)
-
-
-def load_run_config(path: str | None, overrides: list[str]) -> dict:
-    """Flat key=value configuration; file first, then flag overrides.
-    Unknown keys, and a key set twice in the file, are rejected."""
-    known = _MODEL_KEYS | _TRAIN_KEYS
-    resolved: dict = {}
-
-    def absorb(text: str, origin: str) -> str:
-        if "=" not in text:
-            raise UsageError(f"{origin}: expected key=value, got {text!r}")
-        key, value = (part.strip() for part in text.split("=", 1))
-        if key not in known:
-            raise UsageError(f"{origin}: unknown configuration key {key!r}")
-        owner = ModelConfig if key in _MODEL_KEYS else trn.TrainConfig
-        try:
-            resolved[key] = parse_field(owner, key, value)
-        except ValueError as exc:
-            raise UsageError(f"{origin}: bad value: {exc}") from None
-        return key
-
-    if path:
-        first_lines: dict[str, int] = {}
-        with dat.open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key = absorb(line, f"{path}:{lineno}")
-                if key in first_lines:
-                    raise UsageError(f"{path}:{lineno}: configuration key "
-                                     f"{key!r} repeats line {first_lines[key]}")
-                first_lines[key] = lineno
-    for item in overrides or []:
-        absorb(item, "--set")
-    return resolved
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _split_spec(spec: str, flag: str, form: str) -> tuple[str, str]:
-    """NAME and VALUE of a ``flag`` argument of the form ``NAME=VALUE``."""
-    name, sep, value = spec.partition("=")
-    if not sep:
-        raise UsageError(f"{flag} expects {form}, got {spec!r}")
-    return name, value
+def _named(specs: list[str] | None, flag: str, form: str,
+           what: str) -> dict[str, str]:
+    """NAME -> VALUE of the ``flag`` arguments ``specs``, each of the form
+    ``form`` (``NAME=VALUE``); UsageError for a NAME given twice."""
+    named: dict[str, str] = {}
+    for spec in specs or []:
+        name, sep, value = spec.partition("=")
+        if not sep:
+            raise UsageError(f"{flag} expects {form}, got {spec!r}")
+        if name in named:
+            raise UsageError(f"duplicate {what} {name!r}")
+        named[name] = value
+    return named
 
 
-def _probability(text: str, flag: str) -> float:
+def _float(text: str, flag: str) -> float:
     try:
-        return _unit_float(text)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{flag}: bad probability: {exc}") from None
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{flag}: invalid float value: {text!r}") from None
 
 
 def _input_digests(args, *flags) -> dict[str, str]:
@@ -157,10 +121,8 @@ def _input_digests(args, *flags) -> dict[str, str]:
 def cmd_build_dataset(args) -> int:
     peak_sets: dict[str, list[dat.GenomicInterval]] = {}
     peak_digests = []
-    for spec in args.peaks:
-        name, path = _split_spec(spec, "--peaks", "NAME=path")
-        if name in peak_sets:
-            raise UsageError(f"duplicate peak label {name!r}")
+    for name, path in _named(args.peaks, "--peaks", "NAME=path",
+                             "peak label").items():
         with dat.open_text(path, "utf-8") as fh:
             peak_sets[name] = dat.parse_bed(fh)
         peak_digests.append(f"{name}:{trn.file_digest(path)}")
@@ -178,37 +140,30 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.motif:
-        motifs = {}
-        for spec in args.motif:
-            name, consensus = _split_spec(spec, "--motif", "NAME=CONSENSUS")
-            if name in motifs:
-                raise UsageError(f"duplicate motif label {name!r}")
-            motifs[name] = consensus.upper()
+        motifs = {name: consensus.upper() for name, consensus in _named(
+            args.motif, "--motif", "NAME=CONSENSUS", "motif label").items()}
     else:
         if args.labels > len(DEFAULT_MOTIFS):
             raise UsageError(
                 f"only {len(DEFAULT_MOTIFS)} built-in motifs; pass --motif")
         motifs = {f"TF{i}": DEFAULT_MOTIFS[i] for i in range(args.labels)}
 
-    marginals = None
-    if args.marginal:
-        marginals = {}
-        for spec in args.marginal:
-            name, value = _split_spec(spec, "--marginal", "NAME=P")
-            marginals[name] = _probability(value, "--marginal")
-        for name in motifs:
-            marginals.setdefault(name, 0.5)
+    marginals = {name: _float(value, "--marginal") for name, value in _named(
+        args.marginal, "--marginal", "NAME=P", "marginal label").items()}
     co_occurrence = {}
-    for spec in args.co_occur or []:
-        pair, value = _split_spec(spec, "--co-occur", "A,B=P")
+    for pair, value in _named(args.co_occur, "--co-occur", "A,B=P",
+                              "co-occurrence pair").items():
         names = tuple(pair.split(","))
         if len(names) != 2:
-            raise UsageError(f"--co-occur expects A,B=P, got {spec!r}")
-        co_occurrence[names] = _probability(value, "--co-occur")
+            raise UsageError(f"--co-occur expects A,B=P, got {pair!r}")
+        co_occurrence[names] = _float(value, "--co-occur")
 
-    spec = dat.SyntheticSpec(num_samples=args.n, length=args.length,
-                             label_motifs=motifs, marginals=marginals,
-                             co_occurrence=co_occurrence, noise=args.noise)
+    try:
+        spec = dat.SyntheticSpec(num_samples=args.n, length=args.length,
+                                 label_motifs=motifs, marginals=marginals,
+                                 co_occurrence=co_occurrence, noise=args.noise)
+    except dat.DataError as exc:  # every value in the spec is a flag's
+        raise UsageError(str(exc)) from None
     ds = dat.generate_synthetic(spec, np.random.default_rng(args.seed))
     resolved = {"n": args.n, "length": args.length, "noise": args.noise,
                 "motifs": ",".join(f"{k}:{v}" for k, v in motifs.items()),
@@ -238,12 +193,15 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     train_ds = dat.load_dataset(args.dataset)
     val_ds = dat.load_dataset(args.val) if args.val else None
-    resolved = load_run_config(args.config, args.set)
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    if args.epochs is not None:
-        resolved["epochs"] = args.epochs
-    ckpt, history = trn.run_training(resolved, train_ds, val_ds,
+    # --set overrides the file, and --seed and --epochs override both
+    settings = {}
+    if args.config:
+        with dat.open_text(args.config) as fh:
+            settings = trn.read_settings(fh, args.config)
+    settings.update(trn.read_settings(args.set or [], "--set"))
+    settings.update({key: str(value) for key, value in (
+        ("seed", args.seed), ("epochs", args.epochs)) if value is not None})
+    ckpt, history = trn.run_training(settings, train_ds, val_ds,
                                      _input_digests(args, "dataset", "val"))
     trn.save_checkpoint(ckpt, args.out)
     logger.info("best %s %.5f at epoch %s; checkpoint -> %s",
@@ -350,7 +308,7 @@ def build_parser() -> _Parser:
     planted.add_argument("--labels", type=_positive_int, default="4")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--length", type=_positive_int, required=True)
-    p.add_argument("--noise", type=_unit_float, default=0.0)
+    p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
     planted.add_argument("--motif", action="append", metavar="NAME=CONSENSUS")
     p.add_argument("--marginal", action="append", metavar="NAME=P")
@@ -425,6 +383,12 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
+    # fixed malloc thresholds: glibc's moving mmap threshold left a seeded
+    # training step's peak memory to allocation order, at levels 6 MB apart
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep free heap
+        libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: map arrays of 4 MiB up
     try:
         # a non-finite result from finite inputs stops the command
         with np.errstate(over="raise", invalid="raise"):

@@ -356,12 +356,13 @@ def build_dataset(peak_sets: dict[str, list[GenomicInterval]],
 class SyntheticSpec:
     """Planted-motif generator settings.
 
-    Label sets are drawn by independent Bernoulli marginals, forced
-    non-empty when there is more than one label, then coupled pairwise:
-    with probability ``co_occurrence[(a, b)]`` both labels switch on
-    whenever either is on. Active labels plant their consensus motif
-    (per-base mutation probability ``noise``) at a uniform position on a
-    uniform random background.
+    Label sets are drawn by independent Bernoulli marginals, 0.5 for a
+    label that ``marginals`` does not name, forced non-empty when there is
+    more than one label, then coupled pairwise: with probability
+    ``co_occurrence[(a, b)]`` both labels switch on whenever either is
+    on. Active labels plant their consensus motif (per-base mutation
+    probability ``noise``) at a uniform position on a uniform random
+    background.
     """
 
     num_samples: int
@@ -382,17 +383,20 @@ class SyntheticSpec:
             if len(motif) > self.length:
                 raise DataError(
                     f"motif for {name!r} is longer than the sequence length")
-        if self.marginals is None:
-            self.marginals = {name: 0.5 for name in self.label_motifs}
-        if set(self.marginals) != set(self.label_motifs):
-            raise DataError("marginals must cover exactly the motif labels")
-        for name, p in self.marginals.items():
+        given = self.marginals or {}
+        for name, p in given.items():
+            if name not in self.label_motifs:
+                raise DataError(f"marginal for {name!r}, which has no motif")
             if not 0.0 <= p <= 1.0:
                 raise DataError(f"marginal for {name!r} outside [0, 1]")
-        names = set(self.label_motifs)
+        self.marginals = {name: given.get(name, 0.5)
+                          for name in self.label_motifs}
         for (a, b), c in self.co_occurrence.items():
-            if a not in names or b not in names or a == b:
+            if a not in self.label_motifs or b not in self.label_motifs or a == b:
                 raise DataError(f"bad co-occurrence pair ({a!r}, {b!r})")
+            if (b, a) in self.co_occurrence:
+                raise DataError(f"co-occurrence pair ({a!r}, {b!r}) is given "
+                                f"in both orders")
             if not 0.0 <= c <= 1.0:
                 raise DataError("co-occurrence probabilities must be in [0, 1]")
         if not 0.0 <= self.noise <= 1.0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, get_args, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -69,33 +69,6 @@ class ModelConfig:
     @property
     def effective_cnn_kernel_size(self) -> int:
         return self.kernel_size if self.cnn_kernel_size is None else self.cnn_kernel_size
-
-
-# Config text codec. A config dataclass's field annotations are the only
-# statement of how each value is typed in the key=value text of run
-# configurations and checkpoints.
-
-def parse_field(config_type: type, name: str, text: str):
-    """The value of field ``name`` of the dataclass ``config_type``, read
-    from ``text`` by the field's declared type.
-
-    For an ``Optional[T]`` field, "" or "none" (any case) means unset.
-    Raises ValueError when the text is not a value of that type.
-    """
-    kind = get_type_hints(config_type)[name]
-    if type(None) in get_args(kind):
-        if text.strip().lower() in ("", "none"):
-            return None
-        kind = next(arg for arg in get_args(kind) if arg is not type(None))
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{name} expects {kind.__name__}, got {text!r}") from None
-
-
-def format_field(value) -> str:
-    """The text of one config value, read back by ``parse_field``."""
-    return "" if value is None else str(value)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import logging
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Iterable, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import DataError, EncodedDataset
 from .metrics import average_precision
-from .model import (ModelConfig, TcnModel, format_field, parse_field,
-                    receptive_field)
+from .model import ModelConfig, TcnModel, receptive_field
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +37,7 @@ PREDICT_BATCH = 32
 
 
 class ConfigError(ValueError):
-    """A run setting that ``ModelConfig`` or ``TrainConfig`` rejects."""
+    """A run setting that the key=value reader or a config rejects."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -313,24 +312,95 @@ def file_digest(path) -> str:
     return digest.hexdigest()[:12]
 
 
-def _config(kind: type, settings: dict):
+# ---------------------------------------------------------------------------
+# Run settings as text: one key=value pair per line, read by the same rules
+# from a --config file, --set flags and a checkpoint's config block. The
+# field annotations of ModelConfig and TrainConfig are the only statement
+# of how each value is typed.
+
+def read_settings(lines: Iterable[str], source: str) -> dict[str, str]:
+    """The key=value pairs of ``lines``, their values still text. Blank
+    lines and lines that start with "#" are skipped; any other line splits
+    at its first "=" into a stripped key and value. ConfigError, naming
+    ``source`` and the line, for a line without "=" or a key that repeats."""
+    pairs: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(
+                f"{source}:{lineno}: expected key=value, got {line!r}")
+        key = key.strip()
+        if key in first_lines:
+            raise ConfigError(f"{source}:{lineno}: configuration key {key!r} "
+                              f"repeats line {first_lines[key]}")
+        first_lines[key] = lineno
+        pairs[key] = value.strip()
+    return pairs
+
+
+def parse_field(config_type: type, name: str, text: str):
+    """The value of field ``name`` of the dataclass ``config_type``, read
+    from ``text`` by the field's declared type.
+
+    For an ``Optional[T]`` field, "" or "none" (any case) means unset.
+    Raises ValueError when the text is not a value of that type.
+    """
+    kind = get_type_hints(config_type)[name]
+    if type(None) in get_args(kind):
+        if text.lower() in ("", "none"):
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} expects {kind.__name__}, got {text!r}") from None
+
+
+def format_field(value) -> str:
+    """The text of one config value, read back by ``parse_field``."""
+    return "" if value is None else str(value)
+
+
+def typed_settings(settings: dict[str, str]) -> dict:
+    """``settings`` with each value typed by the ``ModelConfig`` or
+    ``TrainConfig`` field its key names; ConfigError for any other key or
+    a value not of its field's type."""
+    owners = {f.name: kind for kind in (ModelConfig, TrainConfig)
+              for f in fields(kind)}
+    values = {}
+    for key, text in settings.items():
+        if key not in owners:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        try:
+            values[key] = parse_field(owners[key], key, text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value: {exc}") from None
+    return values
+
+
+def _config(kind: type, values: dict):
     names = {f.name for f in fields(kind)}
     try:
-        return kind(**{k: v for k, v in settings.items() if k in names})
+        return kind(**{k: v for k, v in values.items() if k in names})
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
 
 
-def run_training(settings: dict, train_ds: EncodedDataset,
+def run_training(settings: dict[str, str], train_ds: EncodedDataset,
                  val_ds: Optional[EncodedDataset] = None,
                  inputs: Optional[dict] = None
                  ) -> tuple[ModelCheckpoint, str]:
-    """The run of ``settings`` (ModelConfig and TrainConfig values by name):
-    its best-epoch checkpoint, provenance in the metadata, and history text.
-    Holds out 20% of ``train_ds`` by the seed when ``val_ds`` is None. The
-    config hash also covers ``inputs``, the input files' ``file_digest``s
-    by name. DataError for unusable or conflicting data, ConfigError for
-    bad values."""
+    """The run of ``settings`` (ModelConfig and TrainConfig values by name,
+    as text): its best-epoch checkpoint, provenance in the metadata, and
+    history text. Holds out 20% of ``train_ds`` by the seed when ``val_ds``
+    is None. The config hash also covers ``inputs``, the input files'
+    ``file_digest``s by name. DataError for unusable or conflicting data,
+    ConfigError for bad settings."""
+    settings = typed_settings(settings)
     cfg = _config(TrainConfig, settings)
     if val_ds is None:
         train_ds, val_ds = hold_out(train_ds, cfg.seed)
@@ -389,9 +459,9 @@ def build_model(ckpt: ModelCheckpoint) -> TcnModel:
 #   | u32 tensor count | per tensor: u16 name length, name, u8 ndim,
 #     u32 dims[], f32 payload row-major
 #
-# The config text is one key=value pair per line, each key once, and
-# includes the label names comma-separated. Any bytes after the last tensor
-# are an error.
+# The config text is one key=value pair per line, each key once, read by
+# ``read_settings``, and includes the label names comma-separated. Any
+# bytes after the last tensor are an error.
 
 def save_checkpoint(ckpt: ModelCheckpoint, path,
                     extra: Optional[dict[str, str]] = None) -> None:
@@ -463,31 +533,19 @@ def _parse_checkpoint(raw: bytes) -> ModelCheckpoint:
         raise DataError(f"unsupported checkpoint version {version}")
     config_len = struct.unpack("<I", take(4, "config length"))[0]
     block = _utf8(take(config_len, "config block"))
-
-    pairs: dict[str, str] = {}
-    for line in block.splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"malformed config line {line!r}")
-        key, value = line.split("=", 1)
-        if key in pairs:
-            raise DataError(f"checkpoint config repeats {key!r}")
-        pairs[key] = value
-
-    texts = {}
-    for f in fields(ModelConfig):
-        if f.name not in pairs:
-            raise DataError(f"checkpoint config missing {f.name!r}")
-        texts[f.name] = pairs.pop(f.name)
+    try:
+        pairs = read_settings(block.splitlines(), "config block")
+        texts = {}
+        for f in fields(ModelConfig):
+            if f.name not in pairs:
+                raise DataError(f"checkpoint config missing {f.name!r}")
+            texts[f.name] = pairs.pop(f.name)
+        config = _config(ModelConfig, typed_settings(texts))
+    except ConfigError as exc:
+        raise DataError(f"bad checkpoint config: {exc}") from None
     if "label_names" not in pairs:
         raise DataError("checkpoint config missing label names")
     label_names = [s for s in pairs.pop("label_names").split(",") if s]
-    try:
-        config = ModelConfig(**{name: parse_field(ModelConfig, name, text)
-                                for name, text in texts.items()})
-    except ValueError as exc:
-        raise DataError(f"bad checkpoint config: {exc}") from None
     if len(label_names) != config.num_labels:
         raise DataError("label names do not match num_labels")
 

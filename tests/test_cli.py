@@ -15,9 +15,10 @@ import tcnbind
 from tcnbind import cli, training
 from tcnbind.data import (EncodedDataset, SyntheticSpec, generate_synthetic,
                           load_dataset, save_dataset)
-from tcnbind.model import TcnModel, format_field
-from tcnbind.training import (ModelCheckpoint, load_checkpoint,
-                              save_checkpoint, train)
+from tcnbind.model import TcnModel
+from tcnbind.training import (ModelCheckpoint, format_field, load_checkpoint,
+                              read_settings, save_checkpoint, train,
+                              typed_settings)
 
 from conftest import (model_configs, rewrite_checkpoint_config, tiny_config,
                       train_configs)
@@ -320,6 +321,22 @@ EXIT_CASES = {
     "repeated_motif_label": (1, ["synth", "--n", "4", "--length", "10",
                                  "--motif", "A=ACGT", "--motif", "A=CCCC",
                                  "--out", "{out}"]),
+    "repeated_marginal_label": (1, ["synth", "--n", "10", "--length", "20",
+                                    "--motif", "A=ACGT", "--marginal", "A=0.1",
+                                    "--marginal", "A=0.9", "--out", "{out}"]),
+    "co_occur_both_orders": (1, ["synth", "--n", "10", "--length", "20",
+                                 "--motif", "A=ACGT", "--motif", "B=CCCC",
+                                 "--co-occur", "A,B=0.1", "--co-occur",
+                                 "B,A=0.9", "--out", "{out}"]),
+    "repeated_co_occur_pair": (1, ["synth", "--n", "10", "--length", "20",
+                                   "--co-occur", "TF0,TF1=0.1", "--co-occur",
+                                   "TF0,TF1=0.9", "--out", "{out}"]),
+    "marginal_without_motif": (1, ["synth", "--n", "4", "--length", "10",
+                                   "--marginal", "Z=0.5", "--out", "{out}"]),
+    "motif_off_alphabet": (1, ["synth", "--n", "4", "--length", "10",
+                               "--motif", "A=ACGX", "--out", "{out}"]),
+    "motif_over_length": (1, ["synth", "--n", "4", "--length", "4",
+                              "--motif", "A=ACGTACGT", "--out", "{out}"]),
     "labels_with_motif": (1, ["synth", "--n", "4", "--length", "10",
                               "--labels", "3", "--motif", "A=ACGT",
                               "--out", "{out}"]),
@@ -330,6 +347,9 @@ EXIT_CASES = {
     "config_repeated_key": (1, ["train", "--dataset", "{root}/ds.tsv",
                                 "--config", "{root}/repeated.cfg",
                                 "--out", "{out}"]),
+    "set_repeated_key": (1, ["train", "--dataset", "{root}/ds.tsv",
+                             "--set", "kernel_size=6", "--set", "kernel_size=5",
+                             "--out", "{out}"]),
     "zero_kernel_size": (1, ["train", "--dataset", "{root}/ds.tsv",
                              "--set", "kernel_size=0", "--out", "{out}"]),
     "alphabet_size": (1, ["train", "--dataset", "{root}/ds.tsv",
@@ -512,6 +532,15 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                    "not allowed with argument --motif",
                "config_repeated_key": "repeated.cfg:3: configuration key "
                                       "'kernel_size' repeats line 1",
+               "set_repeated_key": "--set:2: configuration key "
+                                   "'kernel_size' repeats line 1",
+               "repeated_marginal_label": "duplicate marginal label 'A'",
+               "co_occur_both_orders": "given in both orders",
+               "repeated_co_occur_pair":
+                   "duplicate co-occurrence pair 'TF0,TF1'",
+               "marginal_without_motif": "'Z'",
+               "motif_off_alphabet": "must be non-empty A/C/G/T",
+               "motif_over_length": "longer than the sequence length",
                "non_ascii_dataset": "non_ascii.tsv",
                "non_ascii_config": "non_ascii.cfg",
                "non_utf8_model": "non_utf8.ckpt",
@@ -545,7 +574,8 @@ def test_package_runs_as_a_module():
 
 
 # ---------------------------------------------------------------------------
-# the config codec: every field reads back from a --config file
+# the config codec: every field reads back from a --config file, from --set
+# flags and from a checkpoint's config block
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -553,17 +583,22 @@ def test_package_runs_as_a_module():
 def test_config_file_round_trips_every_field(tmp_path, model, run):
     values = {**asdict(model), **asdict(run)}
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {format_field(v)}\n"
-                            for k, v in values.items()))
-    assert cli.load_run_config(str(path), []) == values
+    path.write_text("# a comment\n\n" + "".join(
+        f"{k} = {format_field(v)}\n" for k, v in values.items()))
+    with open(path) as fh:
+        assert typed_settings(read_settings(fh, str(path))) == values
     overrides = [f"{k}={format_field(v)}" for k, v in values.items()]
-    assert cli.load_run_config(None, overrides) == values
+    assert typed_settings(read_settings(overrides, "--set")) == values
+    ckpt_path = tmp_path / "m.ckpt"
+    label_names = [f"L{i}" for i in range(model.num_labels)]
+    save_checkpoint(ModelCheckpoint(model, label_names, {}), ckpt_path)
+    assert load_checkpoint(ckpt_path).config == model
 
 
 @pytest.mark.parametrize("text", ["", "none", "None", "NONE"])
 def test_unset_optional_field(text):
-    assert cli.load_run_config(None, [f"cnn_kernel_size={text}"]) == {
-        "cnn_kernel_size": None}
+    settings = read_settings([f"cnn_kernel_size={text}"], "--set")
+    assert typed_settings(settings) == {"cnn_kernel_size": None}
 
 
 # ---------------------------------------------------------------------------

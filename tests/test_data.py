@@ -313,6 +313,11 @@ class TestGenerateSynthetic:
         assert (np.abs(observed - expected) <= 3 * sigma).all(), \
             f"observed {observed}, expected {expected}"
 
+    def test_unnamed_labels_get_marginal_one_half(self):
+        spec = SyntheticSpec(10, 30, {"A": "CACGTG", "B": "TGACTCA"},
+                             marginals={"B": 0.2})
+        assert spec.marginals == {"A": 0.5, "B": 0.2}
+
     def test_binary_mode_has_negatives(self):
         spec = SyntheticSpec(200, 30, {"A": "CACGTG"}, marginals={"A": 0.5})
         ds = generate_synthetic(spec, np.random.default_rng(3))

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -339,7 +340,7 @@ class TestCheckpoints:
         ("config", lambda block: block.replace(b"label_names=A,B\n", b""),
          "missing label names"),
         ("config", lambda block: block + b"no equals sign\n",
-         "malformed config line 'no equals sign'"),
+         "config block:16: expected key=value, got 'no equals sign'"),
         ("config", lambda block: block.replace(b"=A,B", b"=A"),
          "label names do not match num_labels"),
         ("weight", np.nan, "tensor 'mlp.out.weight' holds a non-finite"),
@@ -443,7 +444,8 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, path)
         rewrite_checkpoint_config(path, lambda block: block + b"dropout=0.25\n")
-        with pytest.raises(DataError, match="repeats 'dropout'"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*"
+                                            f"key 'dropout' repeats line 10$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["dropout", "classifier_input",
