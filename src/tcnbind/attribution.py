@@ -136,8 +136,10 @@ def integrated_gradients(model: TcnModel, x: np.ndarray, label_index: int,
 
 
 def _weighted_sum(t: Tensor, weights: np.ndarray) -> Tensor:
-    """sum(weights * t), whose backward sends ``weights`` to ``t``."""
-    total = np.vdot(t.data.astype(np.float64), weights)
+    """sum(weights * t), whose backward sends ``weights`` to ``t``. The sum
+    is numpy's, not BLAS's: a ``vdot`` of this size wakes OpenBLAS's idle
+    threads, which then spin, and nothing reads the value."""
+    total = np.multiply(t.data, weights, dtype=np.float64).sum()
     return ad.make_op(np.float32(total), "weighted_sum", (t,),
                       lambda g: (weights * g,))
 

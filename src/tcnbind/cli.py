@@ -8,9 +8,11 @@ Exit codes; every failure ends with a one-line message on stderr:
      a NAME given twice in --peaks, --motif, --marginal or --co-occur,
      --labels given with --motif, synth flags the generator rejects (a
      marginal for an unknown label, a co-occurrence pair given in both
-     orders, a motif off A/C/G/T or longer than --length), a --config/--set
-     key or value that the configuration rejects, or a key set twice in
-     one --config file or in --set;
+     orders, a motif off A/C/G/T or longer than --length), an empty or
+     comment ("#") --set item, a --config/--set key or value that the
+     configuration rejects (an unknown key or a mistyped value is named
+     with its file or --set and line), or a key set twice in one --config
+     file or in --set;
   2  data error: an input file that is missing, unreadable, not ASCII text
      (checkpoints: not UTF-8) or malformed, inputs that disagree with each
      other (label registries, or sequence lengths: a dataset against its
@@ -71,6 +73,14 @@ def _positive_int(text: str) -> int:
 def _seed(text: str) -> int:
     """argparse type of a seed; numpy's generators take no negative one."""
     return _int_at_least(text, 0)
+
+
+def _set_item(text: str) -> str:
+    """argparse type of a --set item. A --config file skips blank and "#"
+    lines, but such an item is more likely a quoting slip than intent."""
+    if text.strip()[:1] in ("", "#"):
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return text
 
 
 def _open_unit_float(text: str) -> float:
@@ -193,16 +203,20 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     train_ds = dat.load_dataset(args.dataset)
     val_ds = dat.load_dataset(args.val) if args.val else None
-    # --set overrides the file, and --seed and --epochs override both
-    settings = {}
+    # --set overrides the file, and --seed and --epochs override both;
+    # ``where`` keeps the file or --set line of each key
+    settings, where = {}, {}
     if args.config:
         with dat.open_text(args.config) as fh:
-            settings = trn.read_settings(fh, args.config)
-    settings.update(trn.read_settings(args.set or [], "--set"))
-    settings.update({key: str(value) for key, value in (
-        ("seed", args.seed), ("epochs", args.epochs)) if value is not None})
+            settings = trn.read_settings(fh, args.config, where)
+    settings.update(trn.read_settings(args.set or [], "--set", where))
+    for key, value in (("seed", args.seed), ("epochs", args.epochs)):
+        if value is not None:
+            settings[key] = str(value)
+            where.pop(key, None)
     ckpt, history = trn.run_training(settings, train_ds, val_ds,
-                                     _input_digests(args, "dataset", "val"))
+                                     _input_digests(args, "dataset", "val"),
+                                     where)
     trn.save_checkpoint(ckpt, args.out)
     logger.info("best %s %.5f at epoch %s; checkpoint -> %s",
                 ckpt.metadata["monitor"], float(ckpt.metadata["best_value"]),
@@ -224,7 +238,7 @@ def _dataset_and_model(args):
 
 def cmd_evaluate(args) -> int:
     ds, ckpt, model = _dataset_and_model(args)
-    scores = trn.predict_scores(model, ds.onehot())
+    scores = trn.predict_scores(model, ds)
     report = met.metrics_report(scores, ds.labels, ds.label_names,
                                 threshold=args.threshold)
     resolved = {"threshold": args.threshold,
@@ -330,7 +344,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--val")
     p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+    p.add_argument("--set", action="append", type=_set_item,
+                   metavar="KEY=VALUE",
                    help="override a configuration key")
     p.add_argument("--seed", type=_seed)
     p.add_argument("--epochs", type=_positive_int)

@@ -297,7 +297,6 @@ class EncodedDataset:
             raise DataError("labels must be binary")
         if k > 1 and n and not self.labels.any(axis=1).all():
             raise DataError("multi-label samples need at least one label")
-        self._onehot: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -310,14 +309,16 @@ class EncodedDataset:
     def sequence_length(self) -> int:
         return len(self.sequences[0]) if self.sequences else 0
 
-    def onehot(self) -> np.ndarray:
-        """[N, L, 4] float32 stack of the one-hot encoded sequences."""
-        if self._onehot is None:
-            if not self.sequences:
-                self._onehot = np.zeros((0, 0, 4), dtype=np.float32)
-            else:
-                self._onehot = np.stack([one_hot(s) for s in self.sequences])
-        return self._onehot
+    def onehot(self, rows=None) -> np.ndarray:
+        """[n, L, 4] float32 stack of the one-hot encoded sequences of the
+        records ``rows`` (indices), or of every record when None. Each call
+        encodes afresh: at 16 bytes per base the stack is 16 times the
+        sequence text, so the dataset keeps no copy."""
+        picked = (self.sequences if rows is None
+                  else [self.sequences[i] for i in rows])
+        if not picked:
+            return np.zeros((0, self.sequence_length, 4), dtype=np.float32)
+        return np.stack([one_hot(s) for s in picked])
 
     def subset(self, indices) -> "EncodedDataset":
         indices = np.asarray(indices, dtype=np.int64)

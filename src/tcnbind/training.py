@@ -29,11 +29,11 @@ CHECKPOINT_VERSION = 1
 # kernels stage only a few records at a time, and a no-grad forward holds
 # one block's input and conv outputs (``model.tcn_block``). On the
 # benchmark's paper-shape evaluate (128 records), 64 took peak RSS from
-# 88.6 MB at 256 to 65.5 MB. With relus and residual sums in place, 32
-# read 51.7 MB against 61.5 MB at 64 in 10 of 10 pairs, at 308.5 against
-# 311.7 items/s in the median, within the spread of 64's runs (301.8-320.5
-# between quartiles; 2-vCPU Xeon, numpy 2.4.6, OpenBLAS 0.3.31).
-PREDICT_BATCH = 32
+# 88.6 MB at 256 to 65.5 MB, and 32, with relus and residual sums in
+# place, to 51.7 MB. 16, with each forward's records encoded just before
+# it (``predict_scores``), read 45.4 MB in the median of 10 pairs (2-vCPU
+# Xeon, numpy 2.4.6, OpenBLAS 0.3.31). A multiple of 4 keeps scores' bits.
+PREDICT_BATCH = 16
 
 
 class ConfigError(ValueError):
@@ -150,21 +150,29 @@ def lr_schedule(epoch: int, total_epochs: int, lr_max: float,
     return 0.5 * lr_max * (1.0 + math.cos(math.pi * progress))
 
 
-def predict_scores(model: TcnModel, inputs: np.ndarray) -> np.ndarray:
+def predict_scores(model: TcnModel,
+                   inputs: EncodedDataset | np.ndarray) -> np.ndarray:
     """Sigmoid scores [N, k] from a frozen model (dropout off, no graph).
 
-    The rows go in forwards of ``PREDICT_BATCH``, and a last row left
-    alone joins the forward before it, so a forward has one row only when
-    N = 1. That keeps each record's bits those of one N-row forward: numpy
-    runs a one-row head matmul as a matrix-vector product, whose logits
-    differ in the last bits, and OpenBLAS rounds the rows of a GEMM by
-    their offset in it (at 3 labels the last N mod 4 rows otherwise than
-    the rest), so every forward starts at a multiple of ``PREDICT_BATCH``.
+    ``inputs`` is a dataset, whose records are one-hot encoded for each
+    forward just before it, so no encoding of the whole set is held, or
+    an [N, L, 4] array. The rows go in forwards of ``PREDICT_BATCH``, and
+    a last row left alone joins the forward before it, so a forward has
+    one row only when N = 1. That keeps each record's bits those of one
+    N-row forward: numpy runs a one-row head matmul as a matrix-vector
+    product, whose logits differ in the last bits, and OpenBLAS rounds the
+    rows of a GEMM by their offset in it (at 3 labels the last N mod 4
+    rows otherwise than the rest), so every forward starts at a multiple
+    of ``PREDICT_BATCH``, itself a multiple of 4.
     """
-    cuts = range(PREDICT_BATCH, len(inputs) - 1, PREDICT_BATCH)
+    n = len(inputs)
+    cuts = [0, *range(PREDICT_BATCH, n - 1, PREDICT_BATCH), n] if n else []
+    encode = isinstance(inputs, EncodedDataset)
     outputs = []
     with ad.no_grad():
-        for part in np.split(inputs, cuts) if len(inputs) else []:
+        for start, stop in zip(cuts, cuts[1:]):
+            part = (inputs.onehot(range(start, stop)) if encode
+                    else inputs[start:stop])
             logits = model.forward(Tensor(part), training=False)
             outputs.append(_sigmoid_stable(logits.data))
     return np.concatenate(outputs) if outputs else np.zeros((0, model.config.num_labels))
@@ -254,7 +262,7 @@ def train(model: TcnModel, train_ds: EncodedDataset, val_ds: EncodedDataset,
             epoch_loss = running / n
 
             # "micro_ap", the only monitor TrainConfig takes
-            scores = predict_scores(model, val_ds.onehot())
+            scores = predict_scores(model, val_ds)
             value = average_precision(scores.reshape(-1),
                                       val_ds.labels.reshape(-1))
             history.append({"epoch": epoch, "loss": epoch_loss, "lr": lr,
@@ -318,11 +326,14 @@ def file_digest(path) -> str:
 # field annotations of ModelConfig and TrainConfig are the only statement
 # of how each value is typed.
 
-def read_settings(lines: Iterable[str], source: str) -> dict[str, str]:
+def read_settings(lines: Iterable[str], source: str,
+                  where: Optional[dict[str, str]] = None) -> dict[str, str]:
     """The key=value pairs of ``lines``, their values still text. Blank
     lines and lines that start with "#" are skipped; any other line splits
     at its first "=" into a stripped key and value. ConfigError, naming
-    ``source`` and the line, for a line without "=" or a key that repeats."""
+    ``source`` and the line, for a line without "=" or a key that repeats.
+    ``where``, when given, gets each key's "source:line", which
+    ``typed_settings`` quotes."""
     pairs: dict[str, str] = {}
     first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -339,6 +350,9 @@ def read_settings(lines: Iterable[str], source: str) -> dict[str, str]:
                               f"repeats line {first_lines[key]}")
         first_lines[key] = lineno
         pairs[key] = value.strip()
+    if where is not None:
+        where.update((key, f"{source}:{lineno}")
+                     for key, lineno in first_lines.items())
     return pairs
 
 
@@ -365,20 +379,23 @@ def format_field(value) -> str:
     return "" if value is None else str(value)
 
 
-def typed_settings(settings: dict[str, str]) -> dict:
+def typed_settings(settings: dict[str, str],
+                   where: Optional[dict[str, str]] = None) -> dict:
     """``settings`` with each value typed by the ``ModelConfig`` or
     ``TrainConfig`` field its key names; ConfigError for any other key or
-    a value not of its field's type."""
+    a value not of its field's type, led by the key's "source:line" in
+    ``where`` when it has one."""
     owners = {f.name: kind for kind in (ModelConfig, TrainConfig)
               for f in fields(kind)}
     values = {}
     for key, text in settings.items():
+        at = f"{where[key]}: " if where and key in where else ""
         if key not in owners:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            raise ConfigError(f"{at}unknown configuration key {key!r}")
         try:
             values[key] = parse_field(owners[key], key, text)
         except ValueError as exc:
-            raise ConfigError(f"bad value: {exc}") from None
+            raise ConfigError(f"{at}bad value: {exc}") from None
     return values
 
 
@@ -392,15 +409,17 @@ def _config(kind: type, values: dict):
 
 def run_training(settings: dict[str, str], train_ds: EncodedDataset,
                  val_ds: Optional[EncodedDataset] = None,
-                 inputs: Optional[dict] = None
+                 inputs: Optional[dict] = None,
+                 where: Optional[dict[str, str]] = None
                  ) -> tuple[ModelCheckpoint, str]:
     """The run of ``settings`` (ModelConfig and TrainConfig values by name,
     as text): its best-epoch checkpoint, provenance in the metadata, and
     history text. Holds out 20% of ``train_ds`` by the seed when ``val_ds``
     is None. The config hash also covers ``inputs``, the input files'
     ``file_digest``s by name. DataError for unusable or conflicting data,
-    ConfigError for bad settings."""
-    settings = typed_settings(settings)
+    ConfigError for bad settings, naming a key's "source:line" from
+    ``where`` (``read_settings``) when it has one."""
+    settings = typed_settings(settings, where)
     cfg = _config(TrainConfig, settings)
     if val_ds is None:
         train_ds, val_ds = hold_out(train_ds, cfg.seed)

@@ -301,6 +301,7 @@ def bad_inputs(tmp_path_factory):
         (root / "ds.tsv").read_bytes() + "# caf\u00e9\n".encode())
     (root / "non_ascii.cfg").write_bytes("dropout = 0.0  # \u00e9\n".encode())
     (root / "repeated.cfg").write_text("kernel_size=6\n# comment\nkernel_size=5\n")
+    (root / "unk.cfg").write_text("kernl = 3\n")
     (root / "g.fa").write_text(">chr1\nACGTACGTACGTACGTACGTACGT\n")
     # enough records that the held-out split leaves both parts non-empty
     (root / "empty_seqs.tsv").write_text("#labels\tA\n" + "".join(
@@ -349,6 +350,15 @@ EXIT_CASES = {
                                 "--out", "{out}"]),
     "set_repeated_key": (1, ["train", "--dataset", "{root}/ds.tsv",
                              "--set", "kernel_size=6", "--set", "kernel_size=5",
+                             "--out", "{out}"]),
+    "config_unknown_key": (1, ["train", "--dataset", "{root}/ds.tsv",
+                               "--config", "{root}/unk.cfg", "--out", "{out}"]),
+    "set_bad_value": (1, ["train", "--dataset", "{root}/ds.tsv",
+                          "--set", "kernel_size=x", "--out", "{out}"]),
+    "set_empty_item": (1, ["train", "--dataset", "{root}/ds.tsv",
+                           "--set", "", "--set", "epochs=1", "--out", "{out}"]),
+    "set_comment_item": (1, ["train", "--dataset", "{root}/ds.tsv",
+                             "--set", "# x", "--set", "epochs=1",
                              "--out", "{out}"]),
     "zero_kernel_size": (1, ["train", "--dataset", "{root}/ds.tsv",
                              "--set", "kernel_size=0", "--out", "{out}"]),
@@ -534,6 +544,12 @@ NAMED_PATHS = {"missing_dataset": "absent.tsv", "missing_model": "absent.ckpt",
                                       "'kernel_size' repeats line 1",
                "set_repeated_key": "--set:2: configuration key "
                                    "'kernel_size' repeats line 1",
+               "config_unknown_key":
+                   "unk.cfg:1: unknown configuration key 'kernl'",
+               "set_bad_value": "--set:1: bad value: kernel_size expects int",
+               "set_empty_item": "argument --set: expected KEY=VALUE, got ''",
+               "set_comment_item":
+                   "argument --set: expected KEY=VALUE, got '# x'",
                "repeated_marginal_label": "duplicate marginal label 'A'",
                "co_occur_both_orders": "given in both orders",
                "repeated_co_occur_pair":

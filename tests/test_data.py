@@ -192,6 +192,17 @@ class TestOneHot:
                 expected["ACGT".index(base)] = 1.0
             np.testing.assert_array_equal(row, expected)
 
+    def test_dataset_encodes_the_rows_asked_for_and_keeps_no_copy(self):
+        spec = SyntheticSpec(6, 12, {"A": "CACGTG", "B": "TGACTCA"}, noise=0.1)
+        ds = generate_synthetic(spec, np.random.default_rng(2))
+        for rows in ([4, 0, 4], range(2, 5), range(6)):
+            want = np.stack([one_hot(ds.sequences[i]) for i in rows])
+            np.testing.assert_array_equal(ds.onehot(rows), want)
+        np.testing.assert_array_equal(ds.onehot(), want)
+        assert ds.onehot([]).shape == (0, 12, 4)
+        assert [name for name, value in vars(ds).items()
+                if isinstance(value, np.ndarray)] == ["labels"]
+
 
 def transition_counts(seq: str) -> Counter:
     return Counter(zip(seq, seq[1:]))

@@ -14,7 +14,8 @@ from conftest import model_configs, rewrite_checkpoint_config, tiny_config
 from tcnbind import autodiff as ad
 from tcnbind import training
 from tcnbind.autodiff import Tensor
-from tcnbind.data import DataError, SyntheticSpec, generate_synthetic, split_dataset
+from tcnbind.data import (DataError, EncodedDataset, SyntheticSpec,
+                          generate_synthetic, split_dataset)
 from tcnbind.model import TcnModel
 from tcnbind.training import (AdamState, ModelCheckpoint, TrainConfig,
                               TrainingDiverged, _sigmoid_stable, adam_step,
@@ -129,6 +130,14 @@ class TestLrSchedule:
 def overfit_dataset(n=32, length=32, seed=4):
     spec = SyntheticSpec(n, length, {"A": "CACGTG", "B": "TGACTCA"}, noise=0.0)
     return generate_synthetic(spec, np.random.default_rng(seed))
+
+
+def random_dataset(n, length, labels=3, seed=7):
+    """``n`` records of uniform random bases, N among them, every label on."""
+    rng = np.random.default_rng(seed)
+    sequences = ["".join(rng.choice(list("ACGTN"), length)) for _ in range(n)]
+    return EncodedDataset([f"L{i}" for i in range(labels)], sequences,
+                          np.ones((n, labels)))
 
 
 def small_model(length=32, labels=2, seed=5, **overrides):
@@ -376,11 +385,12 @@ class TestCheckpoints:
         assert scores.shape == (8, 2)
         assert ((scores > 0) & (scores < 1)).all()
 
-    # a last row alone, two and three rows past a cut, and a row alone
-    # after two full forwards, of PREDICT_BATCH and of 64 records
+    # a last row alone, and two and three rows past a cut, after one and
+    # two forwards of PREDICT_BATCH and after 64 records; and a row alone
+    # after 128
     @pytest.mark.parametrize("n", sorted({
-        *(training.PREDICT_BATCH + i for i in (1, 2, 3)),
-        2 * training.PREDICT_BATCH + 1, 65, 66, 67, 129}))
+        *(m * training.PREDICT_BATCH + i for m in (1, 2) for i in (1, 2, 3)),
+        65, 66, 67, 129}))
     def test_scores_keep_the_bits_of_one_forward(self, n):
         # scoring in several forwards gives each record the bits of one
         # N-row forward; at this shape a record alone in a forward, or one
@@ -393,22 +403,40 @@ class TestCheckpoints:
             want = _sigmoid_stable(model.forward(Tensor(x)).data)
         assert predict_scores(model, x).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, training.PREDICT_BATCH - 1,
+                                   training.PREDICT_BATCH + 1,
+                                   2 * training.PREDICT_BATCH + 1, 65, 129])
+    def test_dataset_scores_keep_the_bits_of_its_array(self, n):
+        # each forward's records encoded just before it score as the
+        # same rows of the whole set's one-hot array
+        model = small_model(length=64, labels=3, seed=6, cnn_kernels=16,
+                            tcn_channels=16, kernel_size=8, mlp_hidden=32)
+        ds = random_dataset(n, 64)
+        assert (predict_scores(model, ds).tobytes()
+                == predict_scores(model, ds.onehot()).tobytes())
+
     def test_scoring_memory_is_bounded(self):
-        # 4x the records: the traced peak grows by at most the 4x input
-        # and its scores, plus 10% of the peak of one forward's worth
+        # 4x the records: the traced peak grows by at most the scores,
+        # plus 10% of the peak of one forward's worth, and by the 4x
+        # input when it is an array; a dataset's whole-set one-hot would
+        # add 15% at this shape
         model = small_model(length=200, labels=3, seed=8, cnn_kernels=16,
                             tcn_blocks=3, tcn_channels=16, kernel_size=32)
+        batch = training.PREDICT_BATCH
         x = np.random.default_rng(9).uniform(
-            0, 1, (4 * training.PREDICT_BATCH, 200, 4)).astype(np.float32)
-        peaks = []
-        for n in (training.PREDICT_BATCH, len(x)):
-            tracemalloc.start()
-            try:
-                scores = predict_scores(model, x[:n])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0] + x.nbytes + scores.nbytes
+            0, 1, (4 * batch, 200, 4)).astype(np.float32)
+        ds = random_dataset(len(x), 200, seed=9)
+        for held, parts in ((x.nbytes, [x[:batch], x]),
+                            (0, [ds.subset(range(batch)), ds])):
+            peaks = []
+            for inputs in parts:
+                tracemalloc.start()
+                try:
+                    scores = predict_scores(model, inputs)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.1 * peaks[0] + held + scores.nbytes
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.update({"tcn.0.conv1.weight": np.zeros((8, 8, 5),
